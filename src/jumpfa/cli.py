@@ -22,11 +22,25 @@ def _load_automaton(ref: str) -> Automaton:
     """Read an automaton from a file path, falling back to bundled names."""
     path = Path(ref)
     if path.exists():
-        return parse_automaton(path.read_text("utf-8"))
+        try:
+            text = path.read_text("utf-8")
+        except UnicodeDecodeError as exc:
+            raise JumpfaError(f"{ref}: not UTF-8 text (byte {exc.start})") from None
+        return parse_automaton(text)
     name = ref[:-4] if ref.endswith(".jfa") else ref
     if name in CORPUS_CLAIMS:
         return load_bundled(name)
     raise JumpfaError(f"no such file or bundled automaton: {ref}")
+
+
+def _max_len(arg: str) -> int:
+    try:
+        value = int(arg)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {arg!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
 
 
 def _word(arg: str) -> str:
@@ -135,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list accepted words up to a length bound")
     p.add_argument("file")
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_max_len, required=True)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("reverse", help="print the kind-flipped, word-reversed automaton")
@@ -151,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("other", nargs="?")
     p.add_argument("--oracle", choices=sorted(ORACLES))
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_max_len, required=True)
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("oracle", help="evaluate a ground-truth predicate on a word")

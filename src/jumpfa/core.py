@@ -10,8 +10,8 @@ between threads; every other module builds on the guarantees enforced by
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Sequence
 
 EMPTY_WORD = "<eps>"
 
@@ -86,6 +86,18 @@ class Automaton:
 
     ``alphabet``, ``states``, ``finals`` and ``rules`` keep declaration
     order, which fixes canonical serialization and enumeration order.
+
+    The search tables are derived from the rules once, when
+    :func:`validate_automaton` builds the value, and take no part in
+    equality, hashing or printing:
+
+    * ``rules_from`` maps each state to its rules in declaration order. Rule
+      keys are unique per state, so their words are exactly the words
+      readable in that state.
+    * ``live`` holds the states from which some final state is reachable
+      along the rules. No configuration in any other state can lead to
+      acceptance, and every successor of such a configuration is again in a
+      state outside ``live``.
     """
 
     kind: Kind
@@ -94,6 +106,28 @@ class Automaton:
     start: str
     finals: tuple[str, ...]
     rules: tuple[Rule, ...]
+    rules_from: Mapping[str, tuple[Rule, ...]] = field(
+        init=False, compare=False, hash=False, repr=False
+    )
+    live: frozenset[str] = field(init=False, compare=False, hash=False, repr=False)
+
+    def __post_init__(self) -> None:
+        rules_from = {q: tuple(r for r in self.rules if r.src == q) for q in self.states}
+        object.__setattr__(self, "rules_from", rules_from)
+        object.__setattr__(self, "live", _live_states(self.rules, self.finals))
+
+
+def _live_states(rules: Sequence[Rule], finals: Iterable[str]) -> frozenset[str]:
+    """States that reach a final state, by a backward fixpoint over the rules."""
+    live = set(finals)
+    grew = True
+    while grew:
+        grew = False
+        for rule in rules:
+            if rule.dst in live and rule.src not in live:
+                live.add(rule.src)
+                grew = True
+    return frozenset(live)
 
 
 @dataclass

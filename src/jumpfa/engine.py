@@ -15,15 +15,28 @@ ahead of the same position), so acceptance is existential over branches and
 :func:`member` performs a breadth-first search of the configuration graph.
 Every consume strictly shrinks the input and returns never repeat, so the
 graph is acyclic and the search terminates.
+
+One consume rule decides every deletion of a step (:func:`enabled_deletions`):
+find the nearest occurrence of each rule word once; a rule fires iff its
+occurrence starts before the earliest end among all of them (``grl``), or
+ends after the latest start (``gll``). The return jump is enabled iff no
+readable word occurs ahead. :func:`naive_consume_successors` spells out the
+literal side conditions instead and serves as the specification.
+
+The search prunes dead states, those from which no final state is reachable
+along the rules (``Automaton.live`` holds the others). Dead configurations
+only lead to dead ones, so dropping them changes neither verdicts nor the
+shortest traces found. The marked-tape machine in :mod:`jumpfa.lba` does not
+prune: its space report describes the whole unpruned search, and it stays an
+independent check of this engine.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     EMPTY_WORD,
@@ -32,6 +45,7 @@ from .core import (
     Kind,
     Rule,
     check_word,
+    readable_words,
 )
 
 # Hard cap on search size; generously above anything a desk-scale input can
@@ -79,19 +93,6 @@ class Trace:
     moves: tuple[Move, ...]
 
 
-class _Tables(NamedTuple):
-    rules_from: dict[str, tuple[Rule, ...]]
-    readable: dict[str, tuple[str, ...]]
-    finals: frozenset[str]
-
-
-@lru_cache(maxsize=None)
-def _tables(aut: Automaton) -> _Tables:
-    rules_from = {q: tuple(r for r in aut.rules if r.src == q) for q in aut.states}
-    readable = {q: tuple(dict.fromkeys(r.word for r in rules_from[q])) for q in aut.states}
-    return _Tables(rules_from, readable, frozenset(aut.finals))
-
-
 def initial_config(aut: Automaton, word: str) -> Configuration:
     """Starting configuration: the whole input ahead of the head."""
     check_word(aut, word)
@@ -116,60 +117,77 @@ def contains_factor(word: str, words: Sequence[str]) -> bool:
     return any(w in word for w in words)
 
 
+def enabled_deletions(kind: Kind, rules: Sequence[Rule], text: str) -> list[tuple[Rule, int]]:
+    """The rules of one state that fire on ``text``, each with the index where
+    its occurrence starts, in rule order.
+
+    ``text`` is the buffer the head scans: the right buffer for ``grl``, the
+    left one for ``gll``. A rule word can only fire at its nearest occurrence
+    (leftmost for ``grl``, rightmost for ``gll``): any farther one leaves a
+    nearer occurrence inside the gap or straddling its boundary. The gap before
+    the nearest occurrence of a word is blocked exactly when some readable
+    word's nearest occurrence lies wholly inside it. So for ``grl`` a rule
+    fires iff its occurrence starts before the smallest end over all
+    occurrences, and for ``gll`` iff it ends after the largest start. Words
+    readable in a state are the words of its rules, so one ``find`` per rule
+    decides every deletion, and the result is empty exactly when no readable
+    word occurs in ``text``.
+    """
+    hits: list[tuple[Rule, int]] = []
+    if kind is Kind.RIGHT:
+        bound = len(text)
+        for rule in rules:
+            pos = text.find(rule.word)
+            if pos >= 0:
+                hits.append((rule, pos))
+                end = pos + len(rule.word)
+                if end < bound:
+                    bound = end
+        return [hit for hit in hits if hit[1] < bound]
+    bound = 0
+    for rule in rules:
+        pos = text.rfind(rule.word)
+        if pos >= 0:
+            hits.append((rule, pos))
+            if pos > bound:
+                bound = pos
+    return [hit for hit in hits if hit[1] + len(hit[0].word) > bound]
+
+
 def _successors(
-    kind: Kind,
-    rules_from: dict[str, tuple[Rule, ...]],
-    readable: dict[str, tuple[str, ...]],
-    config: Configuration,
+    kind: Kind, rules_from: Mapping[str, tuple[Rule, ...]], config: Configuration
 ) -> list[tuple[Move, Configuration]]:
     left, state, right = config
-    words = readable.get(state, ())
+    rules = rules_from.get(state, ())
     out: list[tuple[Move, Configuration]] = []
     if kind is Kind.RIGHT:
-        # Only the leftmost occurrence of a rule word can fire: any later
-        # occurrence leaves an earlier one inside the gap (or straddling its
-        # boundary), which the jump conditions forbid.
-        for rule in rules_from.get(state, ()):
-            pos = right.find(rule.word)
-            if pos < 0:
-                continue
+        for rule, pos in enabled_deletions(kind, rules, right):
             gap = right[:pos]
-            if gap and contains_factor(gap, words):
-                continue
             after = Configuration(left + gap, rule.dst, right[pos + len(rule.word):])
             out.append((Consume(rule, gap), after))
-        if left and not contains_factor(right, words):
+        if left and not out:
             out.append((RETURN, Configuration("", state, left + right)))
     else:
         # Mirror image: scan the left buffer from its right end.
-        for rule in rules_from.get(state, ()):
-            pos = left.rfind(rule.word)
-            if pos < 0:
-                continue
+        for rule, pos in enabled_deletions(kind, rules, left):
             gap = left[pos + len(rule.word):]
-            if gap and contains_factor(gap, words):
-                continue
             after = Configuration(left[:pos], rule.dst, gap + right)
             out.append((Consume(rule, gap), after))
-        if right and not contains_factor(left, words):
+        if right and not out:
             out.append((RETURN, Configuration(left + right, state, "")))
     return out
 
 
 def consume_successors(aut: Automaton, config: Configuration) -> list[tuple[Move, Configuration]]:
     """All enabled word deletions from ``config``, in rule declaration order."""
-    tables = _tables(aut)
     return [
-        step
-        for step in _successors(aut.kind, tables.rules_from, tables.readable, config)
-        if isinstance(step[0], Consume)
+        step for step in _successors(aut.kind, aut.rules_from, config) if isinstance(step[0], Consume)
     ]
 
 
 def return_successor(aut: Automaton, config: Configuration) -> tuple[Move, Configuration] | None:
     """The wrap-around move, if enabled from ``config``."""
-    tables = _tables(aut)
-    for step in _successors(aut.kind, tables.rules_from, tables.readable, config):
+    for step in _successors(aut.kind, aut.rules_from, config):
         if isinstance(step[0], Return):
             return step
     return None
@@ -177,8 +195,7 @@ def return_successor(aut: Automaton, config: Configuration) -> tuple[Move, Confi
 
 def successors(aut: Automaton, config: Configuration) -> list[tuple[Move, Configuration]]:
     """Every one-step successor: deletions in rule order, then the return jump."""
-    tables = _tables(aut)
-    return _successors(aut.kind, tables.rules_from, tables.readable, config)
+    return _successors(aut.kind, aut.rules_from, config)
 
 
 def naive_consume_successors(
@@ -191,14 +208,15 @@ def naive_consume_successors(
     word must not also appear straddling the gap boundary (no nonempty gap
     suffix extends to the fired word with one of its own nonempty prefixes).
     The fast path above must agree with this on every configuration; the test
-    suite compares the two exhaustively.
+    suite compares the two exhaustively. It reads the rules and the readable
+    words straight from ``aut.rules``, apart from the search tables.
     """
-    tables = _tables(aut)
-    words = tables.readable.get(config.state, ())
+    words = tuple(readable_words(aut, config.state))
+    rules = [rule for rule in aut.rules if rule.src == config.state]
     out: list[tuple[Move, Configuration]] = []
     if aut.kind is Kind.RIGHT:
         text = config.right
-        for rule in tables.rules_from.get(config.state, ()):
+        for rule in rules:
             x = rule.word
             pos = text.find(x)
             while pos >= 0:
@@ -213,7 +231,7 @@ def naive_consume_successors(
                 pos = text.find(x, pos + 1)
     else:
         text = config.left
-        for rule in tables.rules_from.get(config.state, ()):
+        for rule in rules:
             x = rule.word
             pos = text.find(x)
             while pos >= 0:
@@ -237,10 +255,17 @@ def member(
     Breadth-first search over exact configurations. Ties between equal-depth
     branches resolve in rule declaration order with the return jump last, so
     the returned trace is reproducible.
+
+    Configurations whose state is not in ``aut.live`` are never stored or
+    expanded: none of them can lead to acceptance and all their successors
+    are dead too, so the live configurations are discovered in the same order
+    as by the unpruned search, and verdicts and traces are unchanged. Only the
+    expansion count that ``max_expansions`` bounds shrinks.
     """
     start = initial_config(aut, word)
-    kind = aut.kind
-    rules_from, readable, finals = _tables(aut)
+    finals, live, rules_from, kind = aut.finals, aut.live, aut.rules_from, aut.kind
+    if start.state not in live:
+        return False, None
     if not start.left and not start.right and start.state in finals:
         return True, Trace((start,), ())
     paths: dict[Configuration, tuple[Configuration, Move] | None] = {start: None}
@@ -253,8 +278,8 @@ def member(
             raise SearchLimitError(
                 f"gave up after {max_expansions} expansions on input of length {len(word)}"
             )
-        for move, nxt in _successors(kind, rules_from, readable, config):
-            if nxt in paths:
+        for move, nxt in _successors(kind, rules_from, config):
+            if nxt.state not in live or nxt in paths:
                 continue
             paths[nxt] = (config, move)
             if not nxt.left and not nxt.right and nxt.state in finals:

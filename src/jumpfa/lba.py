@@ -12,19 +12,28 @@ Nondeterministic rule choice is resolved by breadth-first search over machine
 configurations. The only possible repeat is the idle compaction of a stuck
 machine (nothing marked, head already leftmost), which the visited set cuts.
 
-Gap checking uses every word readable in the current state, exactly like the
-one-step engine; checking only the word being fired would admit runs the
-engine forbids and break the equivalence the bounded cross-check verifies.
+Gap checking uses every word readable in the current state, through the
+engine's consume rule (:func:`jumpfa.engine.enabled_deletions`); checking only
+the word being fired would admit runs the engine forbids and break the
+equivalence the bounded cross-check verifies. Unlike the engine's search, the
+machine does not prune dead states: its space report covers every branch, and
+its verdicts stay an independent check of the pruned search.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
-from .core import Automaton, JumpfaError, Kind, check_word
-from .engine import DEFAULT_MAX_EXPANSIONS, SearchLimitError, contains_factor, iter_words, member, _tables
+from .core import Automaton, JumpfaError, Kind, Rule, check_word
+from .engine import (
+    DEFAULT_MAX_EXPANSIONS,
+    SearchLimitError,
+    enabled_deletions,
+    iter_words,
+    member,
+)
 
 
 class WrongKindError(JumpfaError):
@@ -61,7 +70,7 @@ def _compact(cells: str, marks: int) -> str:
 
 
 def _machine_successors(
-    rules_from, readable, config: TapeConfig, compact_when_stuck: bool
+    rules_from: Mapping[str, tuple[Rule, ...]], config: TapeConfig, compact_when_stuck: bool
 ) -> list[tuple[bool, TapeConfig]]:
     """Macro-steps from ``config`` as (compacted, successor) pairs."""
     state, cells, marks, head = config
@@ -69,13 +78,7 @@ def _machine_successors(
         return []
     ahead = cells[head:]  # cells at or right of the head are never marked
     out: list[tuple[bool, TapeConfig]] = []
-    for rule in rules_from.get(state, ()):
-        pos = ahead.find(rule.word)
-        if pos < 0:
-            continue
-        gap = ahead[:pos]
-        if gap and contains_factor(gap, readable[state]):
-            continue
+    for rule, pos in enabled_deletions(Kind.RIGHT, rules_from.get(state, ()), ahead):
         lo, hi = head + pos, head + pos + len(rule.word)
         marked = marks | ((1 << (hi - lo)) - 1) << lo
         if hi < len(cells):
@@ -105,7 +108,7 @@ def _explore(
     if aut.kind is not Kind.RIGHT:
         raise WrongKindError("the marked-tape machine is defined for right-linear automata")
     check_word(aut, word)
-    rules_from, readable, finals = _tables(aut)
+    rules_from, finals = aut.rules_from, aut.finals
 
     start = TapeConfig(aut.start, word, 0, 0)
     max_cells = len(word) + 2  # the initial tape is the high-water mark; it only shrinks
@@ -125,7 +128,7 @@ def _explore(
             raise SearchLimitError(
                 f"gave up after {max_expansions} machine steps on input of length {len(word)}"
             )
-        for compacted, nxt in _machine_successors(rules_from, readable, config, compact_when_stuck):
+        for compacted, nxt in _machine_successors(rules_from, config, compact_when_stuck):
             if nxt in visited:
                 continue
             visited.add(nxt)

@@ -135,3 +135,19 @@ class TestExamplesAndValidate:
 
     def test_usage_error_exit_code(self, capsys):
         assert run(capsys, "enumerate", "dyck-grl.jfa")[0] == 2  # --max-len missing
+
+    def test_file_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "bad.jfa"
+        bad.write_bytes(b"kind: grl\nalphabet: \xff\n")
+        code, out, err = run(capsys, "member", str(bad), "a")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "not UTF-8" in err
+        assert len(err.splitlines()) == 1
+
+    def test_negative_max_len_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "compare", "dyck-grl", "--oracle", "dyck", "--max-len", "-3")
+        assert (code, out) == (2, "")
+        assert "must not be negative" in err
+        code, out, err = run(capsys, "enumerate", "dyck-grl", "--max-len", "-1")
+        assert (code, out) == (2, "")
+        assert "must not be negative" in err

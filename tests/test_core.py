@@ -186,6 +186,22 @@ class TestSerialize:
         aut = make_automaton("gll", "ab", ["q0"], "q0")
         assert "final:\n" in serialize_automaton(aut)
 
+    def test_search_tables_ignored_by_equality_hash_and_text(self):
+        aut = load_bundled("nonrowj-grl")
+        again = parse_automaton(serialize_automaton(aut))
+        assert again is not aut
+        assert again == aut and hash(again) == hash(aut)
+        assert "rules_from" not in repr(aut) and "live" not in repr(aut)
+        assert serialize_automaton(again) == serialize_automaton(aut)
+
+    def test_live_states_reach_a_final_state(self):
+        aut = make_automaton(
+            "grl", "ab", ["q0", "q1", "q2", "q3"], "q0", ["q2"],
+            [("q0", "a", "q1"), ("q1", "b", "q2"), ("q0", "b", "q3"), ("q3", "a", "q3")],
+        )
+        assert aut.live == {"q0", "q1", "q2"}
+        assert make_automaton("gll", "ab", ["q0"], "q0", [], [("q0", "a", "q0")]).live == set()
+
     @settings(max_examples=120)
     @given(helpers.automata())
     def test_round_trip_property(self, aut):

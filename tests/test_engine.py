@@ -1,5 +1,8 @@
 """One-step semantics, membership search, and enumeration."""
 
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from jumpfa.engine import (
     RETURN,
     Return,
     SearchLimitError,
+    Trace,
     consume_successors,
     contains_factor,
     enumerate_language,
@@ -295,3 +299,46 @@ class TestInvariants:
     def test_unit_rule_machines_never_branch(self, aut, word):
         for config in helpers.walk_configs(aut, word):
             assert len(consume_successors(aut, config)) <= 1
+
+
+def unpruned_member(aut, word):
+    """Breadth-first search over the public successor relation, storing and
+    expanding every configuration, dead states included."""
+    start = initial_config(aut, word)
+    if is_accepting(aut, start):
+        return True, Trace((start,), ())
+    paths = {start: None}
+    queue = deque((start,))
+    while queue:
+        config = queue.popleft()
+        for move, nxt in successors(aut, config):
+            if nxt in paths:
+                continue
+            paths[nxt] = (config, move)
+            if is_accepting(aut, nxt):
+                configs, moves = [nxt], []
+                while paths[configs[-1]] is not None:
+                    prev, step = paths[configs[-1]]
+                    configs.append(prev)
+                    moves.append(step)
+                return True, Trace(tuple(reversed(configs)), tuple(reversed(moves)))
+            queue.append(nxt)
+    return False, None
+
+
+class TestDeadStatePruning:
+    @settings(max_examples=400, deadline=None)
+    @given(helpers.automata(), st.text(alphabet="ab", max_size=9))
+    def test_member_equals_unpruned_search(self, aut, word):
+        assert member(aut, word) == unpruned_member(aut, word)
+
+    def test_machine_without_finals_rejects_without_searching(self):
+        # One-state gll machine whose unpruned search grows exponentially:
+        # thousands of configurations already at length 32.
+        aut = make_automaton(
+            "gll", "ab", ["q0"], "q0", [],
+            [("q0", w, "q0") for w in ("abb", "aaa", "ba", "aab", "bb", "ab")],
+        )
+        rnd = random.Random(64)
+        word = "".join(rnd.choice("ab") for _ in range(64))
+        assert member(aut, word, max_expansions=1) == (False, None)
