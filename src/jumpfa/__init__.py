@@ -36,17 +36,14 @@ from .engine import (
     SearchLimitError,
     Trace,
     accepts,
-    consume_successors,
     contains_factor,
     enumerate_language,
     format_trace,
     initial_config,
     is_accepting,
     iter_words,
-    leftmost_occurrence,
     member,
     naive_consume_successors,
-    return_successor,
     successors,
 )
 from .lba import SpaceReport, TapeConfig, WrongKindError, lba_equivalence, lba_run

@@ -23,7 +23,9 @@ def _load_automaton(ref: str) -> Automaton:
     path = Path(ref)
     if path.exists():
         try:
-            text = path.read_text("utf-8")
+            # A leading byte-order mark is dropped after decoding, so the byte
+            # offset in the error below still counts from the start of the file.
+            text = path.read_text("utf-8").removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise JumpfaError(f"{ref}: not UTF-8 text (byte {exc.start})") from None
         return parse_automaton(text)
@@ -132,6 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
         "for generalized one-way jumping finite automata.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    word_help = (
+        f"input word; {EMPTY_WORD} for the empty word; put -- before a word that starts with -"
+    )
 
     p = sub.add_parser("validate", help="parse and validate an automaton file")
     p.add_argument("file")
@@ -139,12 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("member", help="decide whether a word is accepted")
     p.add_argument("file")
-    p.add_argument("word", help=f"input word; {EMPTY_WORD} for the empty word")
+    p.add_argument("word", help=word_help)
     p.set_defaults(handler=_cmd_member)
 
     p = sub.add_parser("trace", help="print a shortest accepting run")
     p.add_argument("file")
-    p.add_argument("word")
+    p.add_argument("word", help=word_help)
     p.set_defaults(handler=_cmd_trace)
 
     p = sub.add_parser("enumerate", help="list accepted words up to a length bound")
@@ -158,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lba", help="run the marked-tape machine on a word")
     p.add_argument("file")
-    p.add_argument("word")
+    p.add_argument("word", help=word_help)
     p.set_defaults(handler=_cmd_lba)
 
     p = sub.add_parser("compare", help="diff two automata, or an automaton against an oracle")
@@ -170,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="evaluate a ground-truth predicate on a word")
     p.add_argument("name", choices=sorted(ORACLES))
-    p.add_argument("word")
+    p.add_argument("word", help=word_help)
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("examples", help="list the bundled automata")

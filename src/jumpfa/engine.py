@@ -1,4 +1,4 @@
-"""One-step semantics, membership search, traces, and enumeration.
+"""One-step semantics, membership search, traces, and the bounded sweep.
 
 A configuration splits the remaining input around the current state: for a
 right-linear automaton the head deletes words from the right buffer and text
@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     EMPTY_WORD,
@@ -106,12 +106,6 @@ def is_accepting(aut: Automaton, config: Configuration) -> bool:
     return not config.left and not config.right and config.state in aut.finals
 
 
-def leftmost_occurrence(haystack: str, needle: str) -> int | None:
-    """Index of the first occurrence of ``needle``, or None. ``needle`` nonempty."""
-    pos = haystack.find(needle)
-    return pos if pos >= 0 else None
-
-
 def contains_factor(word: str, words: Sequence[str]) -> bool:
     """True if any of ``words`` (all nonempty) occurs as a factor of ``word``."""
     return any(w in word for w in words)
@@ -176,21 +170,6 @@ def _successors(
         if right and not out:
             out.append((RETURN, Configuration(left + right, state, "")))
     return out
-
-
-def consume_successors(aut: Automaton, config: Configuration) -> list[tuple[Move, Configuration]]:
-    """All enabled word deletions from ``config``, in rule declaration order."""
-    return [
-        step for step in _successors(aut.kind, aut.rules_from, config) if isinstance(step[0], Consume)
-    ]
-
-
-def return_successor(aut: Automaton, config: Configuration) -> tuple[Move, Configuration] | None:
-    """The wrap-around move, if enabled from ``config``."""
-    for step in _successors(aut.kind, aut.rules_from, config):
-        if isinstance(step[0], Return):
-            return step
-    return None
 
 
 def successors(aut: Automaton, config: Configuration) -> list[tuple[Move, Configuration]]:
@@ -317,13 +296,35 @@ def iter_words(alphabet: Sequence[str], max_len: int) -> Iterator[str]:
             yield "".join(letters)
 
 
+def differences(
+    alphabet: Sequence[str],
+    max_len: int,
+    first: Callable[[str], bool],
+    second: Callable[[str], bool],
+) -> list[tuple[str, bool, bool]]:
+    """The bounded sweep: ``(word, first(word), second(word))`` for every word
+    of length <= max_len, in :func:`iter_words` order, on which the two
+    verdicts differ. ``first`` is called before ``second`` on each word."""
+    out = []
+    for word in iter_words(alphabet, max_len):
+        verdict = first(word)
+        other = second(word)
+        if verdict != other:
+            out.append((word, verdict, other))
+    return out
+
+
 def enumerate_language(
     aut: Automaton, max_len: int, *, max_expansions: int = DEFAULT_MAX_EXPANSIONS
 ) -> list[str]:
     """All accepted words of length <= max_len, length-lexicographic."""
-    return [
-        w for w in iter_words(aut.alphabet, max_len) if member(aut, w, max_expansions=max_expansions)[0]
-    ]
+    diffs = differences(
+        aut.alphabet,
+        max_len,
+        lambda w: member(aut, w, max_expansions=max_expansions)[0],
+        lambda w: False,
+    )
+    return [word for word, _, _ in diffs]
 
 
 def format_configuration(config: Configuration) -> str:

@@ -30,8 +30,8 @@ from .core import Automaton, JumpfaError, Kind, Rule, check_word
 from .engine import (
     DEFAULT_MAX_EXPANSIONS,
     SearchLimitError,
+    differences,
     enabled_deletions,
-    iter_words,
     member,
 )
 
@@ -70,7 +70,7 @@ def _compact(cells: str, marks: int) -> str:
 
 
 def _machine_successors(
-    rules_from: Mapping[str, tuple[Rule, ...]], config: TapeConfig, compact_when_stuck: bool
+    rules_from: Mapping[str, tuple[Rule, ...]], config: TapeConfig
 ) -> list[tuple[bool, TapeConfig]]:
     """Macro-steps from ``config`` as (compacted, successor) pairs."""
     state, cells, marks, head = config
@@ -90,21 +90,13 @@ def _machine_successors(
             out.append((True, TapeConfig(rule.dst, _compact(cells, marked), 0, 0)))
     if out:
         return out
-    if not compact_when_stuck:
-        # Fault-injection hook for the test suite: a machine that cannot
-        # compact when stuck loses every run that needs a wrap-around.
-        return []
     return [(True, TapeConfig(state, _compact(cells, marks), 0, 0))]
 
 
-def _explore(
-    aut: Automaton,
-    word: str,
-    *,
-    max_expansions: int = DEFAULT_MAX_EXPANSIONS,
-    compact_when_stuck: bool = True,
-) -> tuple[bool, SpaceReport, list[tuple[TapeConfig, bool, TapeConfig]]]:
-    """Run the machine and also report the discovery edges, for inspection."""
+def lba_run(
+    aut: Automaton, word: str, *, max_expansions: int = DEFAULT_MAX_EXPANSIONS
+) -> tuple[bool, SpaceReport]:
+    """Decide membership on the marked tape and report resource use."""
     if aut.kind is not Kind.RIGHT:
         raise WrongKindError("the marked-tape machine is defined for right-linear automata")
     check_word(aut, word)
@@ -112,9 +104,8 @@ def _explore(
 
     start = TapeConfig(aut.start, word, 0, 0)
     max_cells = len(word) + 2  # the initial tape is the high-water mark; it only shrinks
-    edges: list[tuple[TapeConfig, bool, TapeConfig]] = []
     if not start.cells and start.state in finals:
-        return True, SpaceReport(max_cells, 0, 0), edges
+        return True, SpaceReport(max_cells, 0, 0)
 
     accepted = False
     worst_steps = worst_compactions = 0
@@ -128,11 +119,10 @@ def _explore(
             raise SearchLimitError(
                 f"gave up after {max_expansions} machine steps on input of length {len(word)}"
             )
-        for compacted, nxt in _machine_successors(rules_from, config, compact_when_stuck):
+        for compacted, nxt in _machine_successors(rules_from, config):
             if nxt in visited:
                 continue
             visited.add(nxt)
-            edges.append((config, compacted, nxt))
             nxt_depth = depth + 1
             nxt_compactions = compactions + compacted
             worst_steps = max(worst_steps, nxt_depth)
@@ -141,21 +131,7 @@ def _explore(
                 accepted = True
                 break
             queue.append((nxt, nxt_depth, nxt_compactions))
-    return accepted, SpaceReport(max_cells, worst_compactions, worst_steps), edges
-
-
-def lba_run(
-    aut: Automaton,
-    word: str,
-    *,
-    max_expansions: int = DEFAULT_MAX_EXPANSIONS,
-    compact_when_stuck: bool = True,
-) -> tuple[bool, SpaceReport]:
-    """Decide membership on the marked tape and report resource use."""
-    verdict, report, _ = _explore(
-        aut, word, max_expansions=max_expansions, compact_when_stuck=compact_when_stuck
-    )
-    return verdict, report
+    return accepted, SpaceReport(max_cells, worst_compactions, worst_steps)
 
 
 def lba_equivalence(
@@ -165,10 +141,10 @@ def lba_equivalence(
 
     Empty certifies bounded equivalence of the two implementations.
     """
-    out = []
-    for w in iter_words(aut.alphabet, max_len):
-        if lba_run(aut, w, max_expansions=max_expansions)[0] != member(
-            aut, w, max_expansions=max_expansions
-        )[0]:
-            out.append(w)
-    return out
+    diffs = differences(
+        aut.alphabet,
+        max_len,
+        lambda w: lba_run(aut, w, max_expansions=max_expansions)[0],
+        lambda w: member(aut, w, max_expansions=max_expansions)[0],
+    )
+    return [word for word, _, _ in diffs]

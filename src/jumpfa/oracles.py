@@ -14,7 +14,7 @@ from importlib import resources
 from typing import Callable
 
 from .core import Automaton, JumpfaError, SymbolOutsideAlphabetError, parse_automaton
-from .engine import DEFAULT_MAX_EXPANSIONS, iter_words, member
+from .engine import DEFAULT_MAX_EXPANSIONS, differences, member
 from .transforms import AlphabetMismatchError
 
 
@@ -122,14 +122,18 @@ CORPUS_CLAIMS: dict[str, str] = {
 }
 
 
-def oracle_eval(name: str, word: str) -> bool:
-    """Evaluate a registered predicate; the word must fit its alphabet."""
+def _predicate(name: str) -> NamedPredicate:
     try:
-        predicate = ORACLES[name]
+        return ORACLES[name]
     except KeyError:
         raise UnknownOracleError(
             f"unknown oracle {name!r}; known: {', '.join(sorted(ORACLES))}"
         ) from None
+
+
+def oracle_eval(name: str, word: str) -> bool:
+    """Evaluate a registered predicate; the word must fit its alphabet."""
+    predicate = _predicate(name)
     for ch in word:
         if ch not in predicate.alphabet:
             raise SymbolOutsideAlphabetError(
@@ -162,18 +166,15 @@ def oracle_difference(
     aut: Automaton, name: str, max_len: int, *, max_expansions: int = DEFAULT_MAX_EXPANSIONS
 ) -> list[tuple[str, bool, bool]]:
     """Words of length <= max_len where the automaton and the predicate differ."""
-    predicate = ORACLES.get(name)
-    if predicate is None:
-        raise UnknownOracleError(f"unknown oracle {name!r}")
+    predicate = _predicate(name)
     if set(aut.alphabet) != set(predicate.alphabet):
         raise AlphabetMismatchError(
             f"automaton alphabet {''.join(aut.alphabet)!r} does not match "
             f"oracle alphabet {''.join(predicate.alphabet)!r}"
         )
-    out = []
-    for w in iter_words(aut.alphabet, max_len):
-        accepted = member(aut, w, max_expansions=max_expansions)[0]
-        expected = predicate.fn(w)
-        if accepted != expected:
-            out.append((w, accepted, expected))
-    return out
+    return differences(
+        aut.alphabet,
+        max_len,
+        lambda w: member(aut, w, max_expansions=max_expansions)[0],
+        predicate.fn,
+    )

@@ -12,7 +12,7 @@ from .core import (
     check_word,
     make_automaton,
 )
-from .engine import DEFAULT_MAX_EXPANSIONS, iter_words, member
+from .engine import DEFAULT_MAX_EXPANSIONS, differences, member
 
 
 class NotUnitRuleError(JumpfaError):
@@ -109,10 +109,9 @@ def language_difference(
         raise AlphabetMismatchError(
             f"alphabets differ: {''.join(a.alphabet)!r} vs {''.join(b.alphabet)!r}"
         )
-    out = []
-    for w in iter_words(a.alphabet, max_len):
-        in_a = member(a, w, max_expansions=max_expansions)[0]
-        in_b = member(b, w, max_expansions=max_expansions)[0]
-        if in_a != in_b:
-            out.append((w, in_a, in_b))
-    return out
+    return differences(
+        a.alphabet,
+        max_len,
+        lambda w: member(a, w, max_expansions=max_expansions)[0],
+        lambda w: member(b, w, max_expansions=max_expansions)[0],
+    )

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from jumpfa.core import Automaton, Kind, Rule, make_automaton
 from jumpfa.engine import Configuration, Consume, Return, initial_config, successors
+from jumpfa.lba import TapeConfig, _machine_successors
 
 
 def all_words(alphabet: str, lo: int, hi: int) -> list[str]:
@@ -76,6 +77,33 @@ def walk_edges(aut: Automaton, word: str):
             edges.append((config, move, nxt))
             frontier.append(nxt)
     return edges
+
+
+def walk_tape_edges(aut: Automaton, word: str):
+    """Every (config, compacted, successor) edge of the marked-tape machine
+    reachable from ``word``."""
+    seen = set()
+    frontier = [TapeConfig(aut.start, word, 0, 0)]
+    edges = []
+    while frontier:
+        config = frontier.pop()
+        if config in seen:
+            continue
+        seen.add(config)
+        for compacted, nxt in _machine_successors(aut.rules_from, config):
+            edges.append((config, compacted, nxt))
+            frontier.append(nxt)
+    return edges
+
+
+def consume_steps(aut: Automaton, config: Configuration):
+    """The deletions among ``successors(aut, config)``, in rule order."""
+    return [step for step in successors(aut, config) if isinstance(step[0], Consume)]
+
+
+def return_step(aut: Automaton, config: Configuration):
+    """The return move among ``successors(aut, config)``, or None."""
+    return next((step for step in successors(aut, config) if isinstance(step[0], Return)), None)
 
 
 def mirror_config(config: Configuration) -> Configuration:

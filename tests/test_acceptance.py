@@ -16,12 +16,10 @@ from jumpfa.engine import (
     Consume,
     RETURN,
     accepts,
-    consume_successors,
     enumerate_language,
     iter_words,
     member,
     naive_consume_successors,
-    return_successor,
     successors,
 )
 from jumpfa.lba import lba_run
@@ -126,10 +124,8 @@ def test_criterion_08_literal_clause_oracle_for_the_consume_step():
             for w in iter_words("ab", 8):
                 helpers.walk_configs(aut, w, seen)
             for config in seen:
-                assert consume_successors(aut, config) == naive_consume_successors(aut, config), (
-                    aut,
-                    config,
-                )
+                fast = helpers.consume_steps(aut, config)
+                assert fast == naive_consume_successors(aut, config), (aut, config)
 
 
 def test_criterion_09_marked_tape_machine_equivalence_and_space_bound():
@@ -155,8 +151,8 @@ def test_criterion_10_structural_invariants_and_search_guard():
                 word = "".join(rnd.choice("ab") for _ in range(rnd.randint(0, 8)))
                 assert member(aut, word) is not None  # default 10^6 expansion guard holds
                 for config, move, nxt in helpers.walk_edges(aut, word):
-                    ret = return_successor(aut, config)
-                    consumes = consume_successors(aut, config)
+                    ret = helpers.return_step(aut, config)
+                    consumes = helpers.consume_steps(aut, config)
                     assert not (ret is not None and consumes), config
                     if isinstance(move, Consume):
                         assert len(config.left + config.right) - len(nxt.left + nxt.right) == len(
@@ -165,7 +161,7 @@ def test_criterion_10_structural_invariants_and_search_guard():
                     else:
                         assert sorted(nxt.left + nxt.right) == sorted(config.left + config.right)
                         assert "" in (nxt.left, nxt.right)
-                        assert return_successor(aut, nxt) is None  # returns never chain
+                        assert helpers.return_step(aut, nxt) is None  # returns never chain
                     checked += 1
                 if checked >= 10_000:
                     break

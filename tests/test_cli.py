@@ -23,6 +23,13 @@ class TestMember:
         code, out, _ = run(capsys, "member", "dyck-grl.jfa", "<eps>")
         assert (code, out) == (0, "accept\n")
 
+    def test_word_starting_with_dash_after_double_dash(self, capsys, tmp_path):
+        dash = tmp_path / "dash.jfa"
+        dash.write_text("kind: grl\nalphabet: -a\nstates: p q\nstart: p\nfinal: q\nrule: p -a q\n")
+        assert run(capsys, "member", str(dash), "--", "-a") == (0, "accept\n", "")
+        _, out, _ = run(capsys, "member", "--help")
+        assert "put -- before a word that starts with -" in " ".join(out.split())
+
 
 class TestTrace:
     def test_trace_ends_in_bare_final_state(self, capsys):
@@ -120,6 +127,15 @@ class TestExamplesAndValidate:
         good = tmp_path / "tiny.jfa"
         good.write_text("kind: grl\nalphabet: a\nstates: q0\nstart: q0\nfinal: q0\n")
         assert run(capsys, "validate", str(good))[0] == 0
+
+    def test_validate_file_with_byte_order_mark(self, capsys, tmp_path):
+        marked = tmp_path / "bom.jfa"
+        marked.write_bytes(b"\xef\xbb\xbfkind: grl\nalphabet: a\nstates: q\nstart: q\nfinal: q\n")
+        assert run(capsys, "validate", str(marked)) == (0, "ok\n", "")
+        # the offset of a bad byte still counts the mark
+        marked.write_bytes(b"\xef\xbb\xbfkind: grl\n\xff\n")
+        code, _, err = run(capsys, "validate", str(marked))
+        assert code == 2 and err.endswith("not UTF-8 text (byte 13)\n")
 
     def test_validate_bad_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.jfa"

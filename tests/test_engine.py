@@ -16,19 +16,18 @@ from jumpfa.engine import (
     Return,
     SearchLimitError,
     Trace,
-    consume_successors,
     contains_factor,
     enumerate_language,
     initial_config,
     is_accepting,
     iter_words,
-    leftmost_occurrence,
     member,
     naive_consume_successors,
-    return_successor,
     successors,
 )
-from jumpfa.oracles import load_bundled
+from jumpfa.lba import lba_equivalence
+from jumpfa.oracles import load_bundled, oracle_difference
+from jumpfa.transforms import language_difference
 
 
 class TestConfigurations:
@@ -56,11 +55,6 @@ class TestConfigurations:
 
 
 class TestPrimitives:
-    def test_leftmost_occurrence(self):
-        assert leftmost_occurrence("aaa", "aa") == 0
-        assert leftmost_occurrence("bab", "ab") == 1
-        assert leftmost_occurrence("bbb", "a") is None
-
     def test_contains_factor(self):
         assert contains_factor("bb", ["a", "bb"])
         assert not contains_factor("b", ["a", "bb"])
@@ -71,12 +65,12 @@ class TestConsume:
     def test_dyck_skips_unreadable_prefix(self):
         aut = load_bundled("dyck-grl")
         rule = aut.rules[0]
-        steps = consume_successors(aut, Configuration("", "q0", "aabb"))
+        steps = helpers.consume_steps(aut, Configuration("", "q0", "aabb"))
         assert steps == [(Consume(rule, "a"), Configuration("a", "q0", "b"))]
 
     def test_two_rules_can_fire_at_the_same_spot(self):
         aut = load_bundled("nonrowj-grl")
-        steps = consume_successors(aut, Configuration("", "q0", "aab"))
+        steps = helpers.consume_steps(aut, Configuration("", "q0", "aab"))
         assert [c for _, c in steps] == [
             Configuration("", "q1", "ab"),
             Configuration("", "q4", "b"),
@@ -84,48 +78,48 @@ class TestConsume:
 
     def test_only_leftmost_occurrence_fires(self):
         aut = make_automaton("grl", "ab", ["p", "q"], "p", ["q"], [("p", "aa", "q")])
-        assert [c for _, c in consume_successors(aut, Configuration("", "p", "baa"))] == [
+        assert [c for _, c in helpers.consume_steps(aut, Configuration("", "p", "baa"))] == [
             Configuration("b", "q", "")
         ]
         # in "aaa" the occurrence at index 1 straddles the one at index 0
-        assert [c for _, c in consume_successors(aut, Configuration("", "p", "aaa"))] == [
+        assert [c for _, c in helpers.consume_steps(aut, Configuration("", "p", "aaa"))] == [
             Configuration("", "q", "a")
         ]
 
     def test_gap_blocked_by_other_readable_word(self):
         aut = load_bundled("exrl-grl")
         # rule bb cannot jump the gap "a" because a is readable in q0
-        steps = consume_successors(aut, Configuration("", "q0", "abb"))
+        steps = helpers.consume_steps(aut, Configuration("", "q0", "abb"))
         assert [(m.rule.word, c) for m, c in steps] == [("a", Configuration("", "q0", "bb"))]
 
     def test_left_kind_scans_from_the_right_end(self):
         aut = load_bundled("dyck-gll")
         rule = aut.rules[0]
-        steps = consume_successors(aut, Configuration("aabb", "q0", ""))
+        steps = helpers.consume_steps(aut, Configuration("aabb", "q0", ""))
         assert steps == [(Consume(rule, "b"), Configuration("a", "q0", "b"))]
 
 
 class TestReturn:
     def test_wraps_when_nothing_ahead_is_readable(self):
         aut = load_bundled("exrl-grl")
-        move, after = return_successor(aut, Configuration("bb", "q0", ""))
+        move, after = helpers.return_step(aut, Configuration("bb", "q0", ""))
         assert move == RETURN
         assert after == Configuration("", "q0", "bb")
 
     def test_requires_nonempty_jumped_text(self):
         aut = load_bundled("exrl-grl")
-        assert return_successor(aut, Configuration("", "q0", "b")) is None
+        assert helpers.return_step(aut, Configuration("", "q0", "b")) is None
 
     def test_stuck_configuration_rejects_branch(self):
         aut = load_bundled("dyck-grl")
         config = Configuration("", "q0", "ba")
-        assert return_successor(aut, config) is None
+        assert helpers.return_step(aut, config) is None
         assert successors(aut, config) == []
         assert not member(aut, "abba")[0]
 
     def test_left_kind_mirror(self):
         aut = load_bundled("dyck-gll")
-        move, after = return_successor(aut, Configuration("a", "q0", "b"))
+        move, after = helpers.return_step(aut, Configuration("a", "q0", "b"))
         assert after == Configuration("ab", "q0", "")
 
 
@@ -225,6 +219,32 @@ class TestEnumerate:
         assert list(iter_words("ba", 1)) == ["", "b", "a"]
 
 
+DYCK = load_bundled("dyck-grl")
+NO_FINALS = make_automaton("grl", "ab", ["q0"], "q0", [], [("q0", "a", "q0")])
+
+
+class TestSweeps:
+    # Each sweep must pass max_expansions to every search it runs. The engine
+    # rejects on the no-final machine without searching, so there the other
+    # search is the one that must hit the limit; the marked-tape machine does
+    # not prune and searches it anyway.
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            lambda limit: enumerate_language(DYCK, 4, max_expansions=limit),
+            lambda limit: language_difference(DYCK, NO_FINALS, 4, max_expansions=limit),
+            lambda limit: language_difference(NO_FINALS, DYCK, 4, max_expansions=limit),
+            lambda limit: oracle_difference(DYCK, "dyck", 4, max_expansions=limit),
+            lambda limit: lba_equivalence(DYCK, 4, max_expansions=limit),
+            lambda limit: lba_equivalence(NO_FINALS, 4, max_expansions=limit),
+        ],
+        ids=["enumerate", "difference-first", "difference-second", "oracle", "lba", "lba-only"],
+    )
+    def test_expansion_limit_reaches_every_search(self, sweep):
+        with pytest.raises(SearchLimitError):
+            sweep(1)
+
+
 def _configurations(draw_words):
     return st.tuples(draw_words, st.sampled_from(["q0", "q1", "q2", "q3"]), draw_words)
 
@@ -236,7 +256,7 @@ class TestNaiveAgreement:
     @given(helpers.automata(), st.text(alphabet="ab", max_size=8))
     def test_fast_equals_naive_on_reachable_configs(self, aut, word):
         for config in helpers.walk_configs(aut, word):
-            assert consume_successors(aut, config) == naive_consume_successors(aut, config)
+            assert helpers.consume_steps(aut, config) == naive_consume_successors(aut, config)
 
     @settings(max_examples=300, deadline=None)
     @given(helpers.automata(), _configurations(st.text(alphabet="ab", max_size=6)))
@@ -245,7 +265,7 @@ class TestNaiveAgreement:
         if state not in aut.states:
             return
         config = Configuration(left, state, right)
-        assert consume_successors(aut, config) == naive_consume_successors(aut, config)
+        assert helpers.consume_steps(aut, config) == naive_consume_successors(aut, config)
 
 
 def naive_member(aut, word):
@@ -263,7 +283,7 @@ def naive_member(aut, word):
         if is_accepting(aut, config):
             return True
         stack.extend(nxt for _, nxt in naive_consume_successors(aut, config))
-        ret = return_successor(aut, config)
+        ret = helpers.return_step(aut, config)
         if ret is not None:
             stack.append(ret[1])
     return False
@@ -282,14 +302,14 @@ class TestInvariants:
     def test_mutual_exclusion_and_progress(self, aut, word):
         for config, move, nxt in helpers.walk_edges(aut, word):
             if isinstance(move, Return):
-                assert consume_successors(aut, config) == []
+                assert helpers.consume_steps(aut, config) == []
                 # one buffer empties, the symbols survive as a block
                 assert nxt.left + nxt.right in (config.left + config.right, config.right + config.left)
                 assert "" in (nxt.left, nxt.right)
                 # returns never chain
-                assert return_successor(aut, nxt) is None
+                assert helpers.return_step(aut, nxt) is None
             else:
-                assert return_successor(aut, config) is None
+                assert helpers.return_step(aut, config) is None
                 shrink = len(config.left + config.right) - len(nxt.left + nxt.right)
                 assert shrink == len(move.rule.word)
 
@@ -298,7 +318,7 @@ class TestInvariants:
            st.text(alphabet="ab", max_size=7))
     def test_unit_rule_machines_never_branch(self, aut, word):
         for config in helpers.walk_configs(aut, word):
-            assert len(consume_successors(aut, config)) <= 1
+            assert len(helpers.consume_steps(aut, config)) <= 1
 
 
 def unpruned_member(aut, word):

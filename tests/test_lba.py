@@ -5,9 +5,10 @@ import random
 import pytest
 
 import helpers
+from jumpfa import lba
 from jumpfa.core import Kind
-from jumpfa.engine import Configuration, iter_words, member, successors
-from jumpfa.lba import TapeConfig, WrongKindError, _compact, _explore, lba_equivalence, lba_run
+from jumpfa.engine import Configuration, enabled_deletions, iter_words, member, successors
+from jumpfa.lba import TapeConfig, WrongKindError, _compact, lba_equivalence, lba_run
 from jumpfa.oracles import bundled_corpus, load_bundled
 
 RIGHT_CORPUS = [name for name, aut in bundled_corpus().items() if aut.kind is Kind.RIGHT]
@@ -55,8 +56,7 @@ class TestTapeInvariants:
     def test_cells_from_head_onward_are_unmarked(self, name):
         aut = load_bundled(name)
         for word in iter_words(aut.alphabet, 5):
-            _, _, edges = _explore(aut, word)
-            for parent, _, child in edges:
+            for parent, _, child in helpers.walk_tape_edges(aut, word):
                 for config in (parent, child):
                     assert config.marks >> config.head == 0, (word, config)
 
@@ -64,9 +64,9 @@ class TestTapeInvariants:
     def test_space_bound(self, name):
         aut = load_bundled(name)
         for word in iter_words(aut.alphabet, 5):
-            _, report, edges = _explore(aut, word)
+            _, report = lba_run(aut, word)
             assert report.max_cells_used <= len(word) + 2
-            for _, _, child in edges:
+            for _, _, child in helpers.walk_tape_edges(aut, word):
                 assert len(child.cells) <= len(word)
 
     @pytest.mark.parametrize("name", RIGHT_CORPUS)
@@ -75,8 +75,7 @@ class TestTapeInvariants:
         wrap-around when the consumed word touched the right marker."""
         aut = load_bundled(name)
         for word in iter_words(aut.alphabet, 4):
-            _, _, edges = _explore(aut, word)
-            for parent, compacted, child in edges:
+            for parent, compacted, child in helpers.walk_tape_edges(aut, word):
                 before, after = projection(parent), projection(child)
                 if after == before:
                     continue  # mark bookkeeping only, e.g. idle compaction shapes
@@ -102,11 +101,18 @@ class TestEquivalence:
             aut = helpers.random_automaton(rnd, kind=Kind.RIGHT)
             assert lba_equivalence(aut, 5) == []
 
-    def test_corrupted_machine_diverges_from_engine(self):
+    def test_corrupted_machine_diverges_from_engine(self, monkeypatch):
+        # A machine that cannot compact when stuck loses every run that needs
+        # a wrap-around.
+        machine_successors = lba._machine_successors
+
+        def never_compact_when_stuck(rules_from, config):
+            ahead = config.cells[config.head:]
+            if not enabled_deletions(Kind.RIGHT, rules_from.get(config.state, ()), ahead):
+                return []
+            return machine_successors(rules_from, config)
+
+        monkeypatch.setattr(lba, "_machine_successors", never_compact_when_stuck)
         aut = load_bundled("dyck-grl")
-        broken = [
-            w
-            for w in iter_words(aut.alphabet, 6)
-            if lba_run(aut, w, compact_when_stuck=False)[0] != member(aut, w)[0]
-        ]
+        broken = [w for w in iter_words(aut.alphabet, 6) if lba_run(aut, w)[0] != member(aut, w)[0]]
         assert "aabb" in broken

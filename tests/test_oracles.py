@@ -104,8 +104,9 @@ class TestOracleDifference:
             oracle_difference(load_bundled("dyck-grl"), "dyck_c", 4)
 
     def test_unknown_name(self):
-        with pytest.raises(UnknownOracleError):
+        with pytest.raises(UnknownOracleError, match="known: ") as raised:
             oracle_difference(load_bundled("dyck-grl"), "nope", 4)
+        assert all(name in str(raised.value) for name in ORACLES)
 
     def test_reports_divergent_words(self):
         diffs = oracle_difference(load_bundled("dyck-grl"), "astar_bstar", 4)
