@@ -14,7 +14,6 @@ from .core import (
     FormatError,
     JumpfaError,
     Kind,
-    RawAutomaton,
     Rule,
     SymbolOutsideAlphabetError,
     UnknownStateError,
@@ -25,7 +24,6 @@ from .core import (
     parse_automaton,
     readable_words,
     serialize_automaton,
-    validate_automaton,
 )
 from .engine import (
     Configuration,
@@ -46,7 +44,7 @@ from .engine import (
     naive_consume_successors,
     successors,
 )
-from .lba import SpaceReport, TapeConfig, WrongKindError, lba_equivalence, lba_run
+from .lba import SpaceReport, TapeConfig, lba_equivalence, lba_run
 from .oracles import (
     CORPUS_CLAIMS,
     ORACLES,

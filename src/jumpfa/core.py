@@ -4,7 +4,7 @@ Symbols are single printable ASCII characters and words are plain ``str``
 values, so rule words and tape buffers can use ordinary string operations.
 An :class:`Automaton` is immutable once validated and may be shared freely
 between threads; every other module builds on the guarantees enforced by
-:func:`validate_automaton`.
+:func:`make_automaton`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ from typing import Iterable, Mapping, Sequence
 
 EMPTY_WORD = "<eps>"
 
-# Violation codes reported by validate_automaton.
+# Violation codes reported by make_automaton.
+INVALID_SYMBOL = "invalid-symbol"
+INVALID_STATE_NAME = "invalid-state-name"
 UNKNOWN_STATE = "unknown-state"
 SYMBOL_OUTSIDE_ALPHABET = "symbol-outside-alphabet"
 EMPTY_RULE_WORD = "empty-rule-word"
@@ -88,7 +90,7 @@ class Automaton:
     order, which fixes canonical serialization and enumeration order.
 
     The search tables are derived from the rules once, when
-    :func:`validate_automaton` builds the value, and take no part in
+    :func:`make_automaton` builds the value, and take no part in
     equality, hashing or printing:
 
     * ``rules_from`` maps each state to its rules in declaration order. Rule
@@ -130,49 +132,59 @@ def _live_states(rules: Sequence[Rule], finals: Iterable[str]) -> frozenset[str]
     return frozenset(live)
 
 
-@dataclass
-class RawAutomaton:
-    """An unchecked automaton description, as produced by the parser."""
-
-    kind: Kind | str | None = None
-    alphabet: Sequence[str] | None = None
-    states: Sequence[str] = ()
-    start: str | None = None
-    finals: Sequence[str] = ()
-    rules: Sequence[tuple[str, str, str] | Rule] = ()
-
-
-def validate_automaton(raw: RawAutomaton) -> Automaton:
+def make_automaton(
+    kind: Kind | str,
+    alphabet: Sequence[str],
+    states: Sequence[str],
+    start: str | None,
+    finals: Sequence[str] = (),
+    rules: Sequence[tuple[str, str, str] | Rule] = (),
+) -> Automaton:
     """Check every structural invariant and return the frozen automaton.
 
     All problems are collected before raising, so a single
-    :class:`ValidationError` reports the complete list of violations.
+    :class:`ValidationError` reports the complete list of violations. Symbols
+    and state names must be ones the text format can hold, so that
+    :func:`serialize_automaton` and :func:`parse_automaton` round-trip.
     """
     try:
-        kind = raw.kind if isinstance(raw.kind, Kind) else Kind(raw.kind)
+        kind = kind if isinstance(kind, Kind) else Kind(kind)
     except ValueError:
         raise FormatError(
-            f"kind must be one of {sorted(k.value for k in Kind)}, got {raw.kind!r}"
+            f"kind must be one of {sorted(k.value for k in Kind)}, got {kind!r}"
         ) from None
 
-    alphabet = tuple(dict.fromkeys(raw.alphabet or ()))
-    states = tuple(dict.fromkeys(raw.states))
-    finals = tuple(dict.fromkeys(raw.finals))
+    alphabet = tuple(dict.fromkeys(alphabet))
+    states = tuple(dict.fromkeys(states))
+    finals = tuple(dict.fromkeys(finals))
     known = set(states)
     symbols = set(alphabet)
     problems: list[Violation] = []
 
-    if raw.start is None:
+    for symbol in alphabet:
+        if not _symbol_ok(symbol):
+            problems.append(
+                Violation(
+                    INVALID_SYMBOL,
+                    f"symbol {symbol!r} is not one printable non-blank ASCII character",
+                )
+            )
+    for q in states:
+        if q.split() != [q] or "#" in q:
+            problems.append(
+                Violation(INVALID_STATE_NAME, f"state {q!r} is empty or contains whitespace or '#'")
+            )
+    if start is None:
         problems.append(Violation(MISSING_START, "no start state declared"))
-    elif raw.start not in known:
-        problems.append(Violation(UNKNOWN_STATE, f"start state {raw.start!r} is not declared"))
+    elif start not in known:
+        problems.append(Violation(UNKNOWN_STATE, f"start state {start!r} is not declared"))
     for q in finals:
         if q not in known:
             problems.append(Violation(UNKNOWN_STATE, f"final state {q!r} is not declared"))
 
-    rules: list[Rule] = []
+    checked: list[Rule] = []
     seen_keys: set[tuple[str, str]] = set()
-    for entry in raw.rules:
+    for entry in rules:
         src, word, dst = (entry.src, entry.word, entry.dst) if isinstance(entry, Rule) else entry
         for q in (src, dst):
             if q not in known:
@@ -194,23 +206,11 @@ def validate_automaton(raw: RawAutomaton) -> Automaton:
                 Violation(DUPLICATE_RULE_KEY, f"state {src!r} reads the word {word!r} twice")
             )
         seen_keys.add((src, word))
-        rules.append(Rule(src, word, dst))
+        checked.append(Rule(src, word, dst))
 
     if problems:
         raise ValidationError(problems)
-    return Automaton(kind, alphabet, states, raw.start, finals, tuple(rules))
-
-
-def make_automaton(
-    kind: Kind | str,
-    alphabet: Sequence[str],
-    states: Sequence[str],
-    start: str,
-    finals: Sequence[str] = (),
-    rules: Sequence[tuple[str, str, str] | Rule] = (),
-) -> Automaton:
-    """Build and validate an automaton from plain Python values."""
-    return validate_automaton(RawAutomaton(kind, alphabet, states, start, finals, rules))
+    return Automaton(kind, alphabet, states, start, finals, tuple(checked))
 
 
 def readable_words(aut: Automaton, state: str) -> frozenset[str]:
@@ -236,8 +236,8 @@ def check_word(aut: Automaton, word: str) -> None:
 _HEADER_KEYS = ("kind", "alphabet", "states", "start", "final")
 
 
-def _symbol_ok(ch: str) -> bool:
-    return ch.isascii() and ch.isprintable() and ch not in " #"
+def _symbol_ok(symbol: str) -> bool:
+    return len(symbol) == 1 and symbol.isascii() and symbol.isprintable() and symbol not in " #"
 
 
 def parse_automaton(text: str) -> Automaton:
@@ -255,9 +255,8 @@ def parse_automaton(text: str) -> Automaton:
     ``#`` starts a comment, blank lines are ignored, and header lines may
     appear in any order as long as they precede the first ``rule:`` line.
     """
-    raw = RawAutomaton()
+    header: dict[str, str | tuple[str, ...]] = {}
     rules: list[tuple[str, str, str]] = []
-    seen: set[str] = set()
     in_rules = False
     for lineno, source_line in enumerate(text.splitlines(), 1):
         line = source_line.split("#", 1)[0].strip()
@@ -278,13 +277,11 @@ def parse_automaton(text: str) -> Automaton:
             raise FormatError(f"unknown directive {key!r}", lineno)
         if in_rules:
             raise FormatError(f"header {key!r} must come before the first rule", lineno)
-        if key in seen:
+        if key in header:
             raise FormatError(f"duplicate header {key!r}", lineno)
-        seen.add(key)
         if key == "kind":
             if value not in (k.value for k in Kind):
                 raise FormatError("kind must be 'grl' or 'gll'", lineno)
-            raw.kind = value
         elif key == "alphabet":
             if not value:
                 raise FormatError("alphabet must not be empty", lineno)
@@ -293,26 +290,29 @@ def parse_automaton(text: str) -> Automaton:
                     raise FormatError(f"symbol {ch!r} is not printable non-blank ASCII", lineno)
             if len(set(value)) != len(value):
                 raise FormatError("alphabet repeats a symbol", lineno)
-            raw.alphabet = value
         elif key == "states":
-            ids = value.split()
-            if len(set(ids)) != len(ids):
+            value = tuple(value.split())
+            if len(set(value)) != len(value):
                 raise FormatError("state declared twice", lineno)
-            raw.states = tuple(ids)
         elif key == "start":
             if len(value.split()) != 1:
                 raise FormatError("start takes exactly one state", lineno)
-            raw.start = value
         else:  # final
-            ids = value.split()
-            if len(set(ids)) != len(ids):
+            value = tuple(value.split())
+            if len(set(value)) != len(value):
                 raise FormatError("final state listed twice", lineno)
-            raw.finals = tuple(ids)
+        header[key] = value
     for key in ("kind", "alphabet", "states", "final"):
-        if key not in seen:
+        if key not in header:
             raise FormatError(f"missing header {key!r}")
-    raw.rules = tuple(rules)
-    return validate_automaton(raw)
+    return make_automaton(
+        header["kind"],
+        header["alphabet"],
+        header["states"],
+        header.get("start"),
+        header["final"],
+        rules,
+    )
 
 
 def serialize_automaton(aut: Automaton) -> str:

@@ -28,7 +28,8 @@ along the rules (``Automaton.live`` holds the others). Dead configurations
 only lead to dead ones, so dropping them changes neither verdicts nor the
 shortest traces found. The marked-tape machine in :mod:`jumpfa.lba` does not
 prune: its space report describes the whole unpruned search, and it stays an
-independent check of this engine.
+independent check of this engine for both kinds, running a left-linear
+automaton as its right-linear reversal.
 """
 
 from __future__ import annotations
@@ -283,9 +284,9 @@ def _backtrack(
     return Trace(tuple(configs), tuple(moves))
 
 
-def accepts(aut: Automaton, word: str, *, max_expansions: int = DEFAULT_MAX_EXPANSIONS) -> bool:
+def accepts(aut: Automaton, word: str) -> bool:
     """Membership verdict only."""
-    return member(aut, word, max_expansions=max_expansions)[0]
+    return member(aut, word)[0]
 
 
 def iter_words(alphabet: Sequence[str], max_len: int) -> Iterator[str]:
@@ -314,16 +315,9 @@ def differences(
     return out
 
 
-def enumerate_language(
-    aut: Automaton, max_len: int, *, max_expansions: int = DEFAULT_MAX_EXPANSIONS
-) -> list[str]:
+def enumerate_language(aut: Automaton, max_len: int) -> list[str]:
     """All accepted words of length <= max_len, length-lexicographic."""
-    diffs = differences(
-        aut.alphabet,
-        max_len,
-        lambda w: member(aut, w, max_expansions=max_expansions)[0],
-        lambda w: False,
-    )
+    diffs = differences(aut.alphabet, max_len, lambda w: member(aut, w)[0], lambda w: False)
     return [word for word, _, _ in diffs]
 
 

@@ -1,4 +1,8 @@
-"""Marked-tape linear-bounded realization of the right-linear engine.
+"""Marked-tape linear-bounded realization of the engine, for both kinds.
+
+The machine itself is right-linear. A left-linear automaton runs as its
+reversal (:func:`jumpfa.transforms.reverse_automaton`) on the reversed word:
+reversal mirrors both the language and the step relation.
 
 The machine works on the input word between two end markers and never
 allocates beyond it. A deletion is performed in two stages: the cells of the
@@ -26,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .core import Automaton, JumpfaError, Kind, Rule, check_word
+from .core import Automaton, Kind, Rule, check_word
 from .engine import (
     DEFAULT_MAX_EXPANSIONS,
     SearchLimitError,
@@ -34,10 +38,7 @@ from .engine import (
     enabled_deletions,
     member,
 )
-
-
-class WrongKindError(JumpfaError):
-    pass
+from .transforms import reverse_automaton
 
 
 class TapeConfig(NamedTuple):
@@ -96,10 +97,14 @@ def _machine_successors(
 def lba_run(
     aut: Automaton, word: str, *, max_expansions: int = DEFAULT_MAX_EXPANSIONS
 ) -> tuple[bool, SpaceReport]:
-    """Decide membership on the marked tape and report resource use."""
-    if aut.kind is not Kind.RIGHT:
-        raise WrongKindError("the marked-tape machine is defined for right-linear automata")
+    """Decide membership on the marked tape and report resource use.
+
+    A left-linear automaton runs as its right-linear reversal on the reversed
+    word, which has the same verdict and the same report.
+    """
     check_word(aut, word)
+    if aut.kind is Kind.LEFT:
+        aut, word = reverse_automaton(aut), word[::-1]
     rules_from, finals = aut.rules_from, aut.finals
 
     start = TapeConfig(aut.start, word, 0, 0)
@@ -134,17 +139,12 @@ def lba_run(
     return accepted, SpaceReport(max_cells, worst_compactions, worst_steps)
 
 
-def lba_equivalence(
-    aut: Automaton, max_len: int, *, max_expansions: int = DEFAULT_MAX_EXPANSIONS
-) -> list[str]:
+def lba_equivalence(aut: Automaton, max_len: int) -> list[str]:
     """Words of length <= max_len where the machine and the engine disagree.
 
     Empty certifies bounded equivalence of the two implementations.
     """
     diffs = differences(
-        aut.alphabet,
-        max_len,
-        lambda w: lba_run(aut, w, max_expansions=max_expansions)[0],
-        lambda w: member(aut, w, max_expansions=max_expansions)[0],
+        aut.alphabet, max_len, lambda w: lba_run(aut, w)[0], lambda w: member(aut, w)[0]
     )
     return [word for word, _, _ in diffs]

@@ -14,7 +14,7 @@ from importlib import resources
 from typing import Callable
 
 from .core import Automaton, JumpfaError, SymbolOutsideAlphabetError, parse_automaton
-from .engine import DEFAULT_MAX_EXPANSIONS, differences, member
+from .engine import differences, member
 from .transforms import AlphabetMismatchError
 
 
@@ -162,9 +162,7 @@ def bundled_corpus() -> dict[str, Automaton]:
     return dict(_corpus())
 
 
-def oracle_difference(
-    aut: Automaton, name: str, max_len: int, *, max_expansions: int = DEFAULT_MAX_EXPANSIONS
-) -> list[tuple[str, bool, bool]]:
+def oracle_difference(aut: Automaton, name: str, max_len: int) -> list[tuple[str, bool, bool]]:
     """Words of length <= max_len where the automaton and the predicate differ."""
     predicate = _predicate(name)
     if set(aut.alphabet) != set(predicate.alphabet):
@@ -172,9 +170,4 @@ def oracle_difference(
             f"automaton alphabet {''.join(aut.alphabet)!r} does not match "
             f"oracle alphabet {''.join(predicate.alphabet)!r}"
         )
-    return differences(
-        aut.alphabet,
-        max_len,
-        lambda w: member(aut, w, max_expansions=max_expansions)[0],
-        predicate.fn,
-    )
+    return differences(aut.alphabet, max_len, lambda w: member(aut, w)[0], predicate.fn)

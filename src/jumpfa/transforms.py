@@ -12,7 +12,7 @@ from .core import (
     check_word,
     make_automaton,
 )
-from .engine import DEFAULT_MAX_EXPANSIONS, differences, member
+from .engine import differences, member
 
 
 class NotUnitRuleError(JumpfaError):
@@ -93,13 +93,7 @@ def one_way_reference_member(aut: Automaton, word: str) -> bool:
     return last.remaining == "" and last.state in aut.finals
 
 
-def language_difference(
-    a: Automaton,
-    b: Automaton,
-    max_len: int,
-    *,
-    max_expansions: int = DEFAULT_MAX_EXPANSIONS,
-) -> list[tuple[str, bool, bool]]:
+def language_difference(a: Automaton, b: Automaton, max_len: int) -> list[tuple[str, bool, bool]]:
     """All words of length <= max_len on which the two memberships differ.
 
     An empty result certifies equivalence up to the length bound. Words come
@@ -109,9 +103,4 @@ def language_difference(
         raise AlphabetMismatchError(
             f"alphabets differ: {''.join(a.alphabet)!r} vs {''.join(b.alphabet)!r}"
         )
-    return differences(
-        a.alphabet,
-        max_len,
-        lambda w: member(a, w, max_expansions=max_expansions)[0],
-        lambda w: member(b, w, max_expansions=max_expansions)[0],
-    )
+    return differences(a.alphabet, max_len, lambda w: member(a, w)[0], lambda w: member(b, w)[0])

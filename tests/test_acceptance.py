@@ -130,10 +130,9 @@ def test_criterion_08_literal_clause_oracle_for_the_consume_step():
 
 def test_criterion_09_marked_tape_machine_equivalence_and_space_bound():
     with criterion(9, "marked-tape machine == engine (corpus to 8, 50 random to 7) + space bound"):
-        right_linear = [a for a in bundled_corpus().values() if a.kind is Kind.RIGHT]
         rnd = random.Random(0xBEEF)
-        randoms = [helpers.random_automaton(rnd, kind=Kind.RIGHT) for _ in range(50)]
-        jobs = [(aut, 8) for aut in right_linear] + [(aut, 7) for aut in randoms]
+        randoms = [helpers.random_automaton(rnd) for _ in range(50)]
+        jobs = [(aut, 8) for aut in bundled_corpus().values()] + [(aut, 7) for aut in randoms]
         for aut, bound in jobs:
             for w in iter_words(aut.alphabet, bound):
                 verdict, report = lba_run(aut, w)

@@ -80,10 +80,9 @@ class TestLba:
         assert code == 1
         assert out.startswith("reject\ncells=4")
 
-    def test_wrong_kind_is_an_error(self, capsys):
-        code, _, err = run(capsys, "lba", "dyck-gll.jfa", "ab")
-        assert code == 2
-        assert "error:" in err
+    def test_left_linear_machine(self, capsys):
+        code, out, _ = run(capsys, "lba", "dyck-gll.jfa", "ab")
+        assert (code, out) == (0, "accept\ncells=4 compactions=1 steps=1\n")
 
 
 class TestCompare:

@@ -8,12 +8,13 @@ import helpers
 from jumpfa.core import (
     DUPLICATE_RULE_KEY,
     EMPTY_RULE_WORD,
+    INVALID_STATE_NAME,
+    INVALID_SYMBOL,
     MISSING_START,
     SYMBOL_OUTSIDE_ALPHABET,
     UNKNOWN_STATE,
     FormatError,
     Kind,
-    RawAutomaton,
     Rule,
     UnknownStateError,
     ValidationError,
@@ -21,7 +22,6 @@ from jumpfa.core import (
     parse_automaton,
     readable_words,
     serialize_automaton,
-    validate_automaton,
 )
 from jumpfa.oracles import bundled_corpus, load_bundled
 
@@ -69,17 +69,32 @@ class TestValidate:
 
     def test_missing_start(self):
         with pytest.raises(ValidationError) as err:
-            validate_automaton(RawAutomaton(kind="grl", alphabet="ab", states=("q0",)))
+            make_automaton("grl", "ab", ("q0",), None)
         assert codes(err.value) == {MISSING_START}
 
     def test_violations_collected_not_short_circuited(self):
-        raw = RawAutomaton(
-            kind="grl", alphabet="ab", states=("q0",), start=None,
-            rules=(("q0", "", "q0"), ("q0", "xy", "q0")),
-        )
         with pytest.raises(ValidationError) as err:
-            validate_automaton(raw)
+            make_automaton(
+                "grl", "ab", ("q0",), None, rules=(("q0", "", "q0"), ("q0", "xy", "q0"))
+            )
         assert codes(err.value) == {MISSING_START, EMPTY_RULE_WORD, SYMBOL_OUTSIDE_ALPHABET}
+
+    def test_blank_symbol_and_state_name_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            make_automaton("grl", "a b", ["q 0"], "q 0", ["q 0"], [("q 0", "a", "q 0")])
+        assert codes(err.value) == {INVALID_SYMBOL, INVALID_STATE_NAME}
+
+    @pytest.mark.parametrize("name", ["", "q\t0", "q#0"])
+    def test_state_name_the_format_cannot_hold(self, name):
+        with pytest.raises(ValidationError) as err:
+            make_automaton("grl", "a", [name], name, [name], [(name, "a", name)])
+        assert codes(err.value) == {INVALID_STATE_NAME}
+
+    def test_multi_character_symbol_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            make_automaton("grl", ["ab", "c"], ["q0"], "q0", ["q0"], [("q0", "c", "q0")])
+        assert codes(err.value) == {INVALID_SYMBOL}
+        assert "'ab'" in str(err.value)
 
     def test_empty_finals_allowed(self):
         aut = make_automaton("grl", "ab", ["q0"], "q0")
@@ -205,6 +220,19 @@ class TestSerialize:
     @settings(max_examples=120)
     @given(helpers.automata())
     def test_round_trip_property(self, aut):
+        assert parse_automaton(serialize_automaton(aut)) == aut
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.text(max_size=2), min_size=1, max_size=3),
+        st.lists(st.text(max_size=3), min_size=1, max_size=3),
+    )
+    def test_every_accepted_name_round_trips(self, alphabet, states):
+        rule = (states[0], alphabet[0], states[-1])
+        try:
+            aut = make_automaton("grl", alphabet, states, states[0], states[-1:], [rule])
+        except ValidationError:
+            return
         assert parse_automaton(serialize_automaton(aut)) == aut
 
 

@@ -25,9 +25,7 @@ from jumpfa.engine import (
     naive_consume_successors,
     successors,
 )
-from jumpfa.lba import lba_equivalence
-from jumpfa.oracles import load_bundled, oracle_difference
-from jumpfa.transforms import language_difference
+from jumpfa.oracles import load_bundled
 
 
 class TestConfigurations:
@@ -217,32 +215,6 @@ class TestEnumerate:
     def test_word_order_is_length_then_lex(self):
         assert list(iter_words("ab", 2)) == ["", "a", "b", "aa", "ab", "ba", "bb"]
         assert list(iter_words("ba", 1)) == ["", "b", "a"]
-
-
-DYCK = load_bundled("dyck-grl")
-NO_FINALS = make_automaton("grl", "ab", ["q0"], "q0", [], [("q0", "a", "q0")])
-
-
-class TestSweeps:
-    # Each sweep must pass max_expansions to every search it runs. The engine
-    # rejects on the no-final machine without searching, so there the other
-    # search is the one that must hit the limit; the marked-tape machine does
-    # not prune and searches it anyway.
-    @pytest.mark.parametrize(
-        "sweep",
-        [
-            lambda limit: enumerate_language(DYCK, 4, max_expansions=limit),
-            lambda limit: language_difference(DYCK, NO_FINALS, 4, max_expansions=limit),
-            lambda limit: language_difference(NO_FINALS, DYCK, 4, max_expansions=limit),
-            lambda limit: oracle_difference(DYCK, "dyck", 4, max_expansions=limit),
-            lambda limit: lba_equivalence(DYCK, 4, max_expansions=limit),
-            lambda limit: lba_equivalence(NO_FINALS, 4, max_expansions=limit),
-        ],
-        ids=["enumerate", "difference-first", "difference-second", "oracle", "lba", "lba-only"],
-    )
-    def test_expansion_limit_reaches_every_search(self, sweep):
-        with pytest.raises(SearchLimitError):
-            sweep(1)
 
 
 def _configurations(draw_words):

@@ -7,8 +7,15 @@ import pytest
 import helpers
 from jumpfa import lba
 from jumpfa.core import Kind
-from jumpfa.engine import Configuration, enabled_deletions, iter_words, member, successors
-from jumpfa.lba import TapeConfig, WrongKindError, _compact, lba_equivalence, lba_run
+from jumpfa.engine import (
+    Configuration,
+    SearchLimitError,
+    enabled_deletions,
+    iter_words,
+    member,
+    successors,
+)
+from jumpfa.lba import TapeConfig, _compact, lba_equivalence, lba_run
 from jumpfa.oracles import bundled_corpus, load_bundled
 
 RIGHT_CORPUS = [name for name, aut in bundled_corpus().items() if aut.kind is Kind.RIGHT]
@@ -36,9 +43,11 @@ class TestRuns:
         accepted, report = lba_run(load_bundled("bmabbn-grl"), "")
         assert not accepted and report.compactions == 0
 
-    def test_left_linear_input_rejected(self):
-        with pytest.raises(WrongKindError):
-            lba_run(load_bundled("dyck-gll"), "ab")
+    def test_left_linear_machine_runs_as_its_reversal(self):
+        left = load_bundled("dyck-gll")
+        assert lba_run(left, "aabb") == lba_run(load_bundled("dyck-grl"), "aabb")
+        with pytest.raises(SearchLimitError):
+            lba_run(left, "aabb", max_expansions=1)
 
     def test_stuck_machine_terminates(self):
         accepted, report = lba_run(load_bundled("dyck-grl"), "ba")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jumpfa.core import SymbolOutsideAlphabetError, validate_automaton, RawAutomaton
+from jumpfa.core import SymbolOutsideAlphabetError, make_automaton
 from jumpfa.engine import Consume, iter_words
 from jumpfa.oracles import (
     CORPUS_CLAIMS,
@@ -68,8 +68,8 @@ class TestCorpus:
         corpus = bundled_corpus()
         assert set(corpus) == set(CORPUS_CLAIMS)
         for name, aut in corpus.items():
-            raw = RawAutomaton(aut.kind, aut.alphabet, aut.states, aut.start, aut.finals, aut.rules)
-            assert validate_automaton(raw) == aut, name
+            fields = (aut.kind, aut.alphabet, aut.states, aut.start, aut.finals, aut.rules)
+            assert make_automaton(*fields) == aut, name
 
     def test_every_claim_names_a_registered_oracle(self):
         assert set(CORPUS_CLAIMS.values()) <= set(ORACLES)

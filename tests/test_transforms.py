@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from jumpfa.core import Kind, validate_automaton, RawAutomaton
+from jumpfa.core import Kind, make_automaton
 from jumpfa.engine import accepts, enumerate_language, iter_words
 from jumpfa.oracles import bundled_corpus, load_bundled, oracle_eval
 from jumpfa.transforms import (
@@ -50,8 +50,8 @@ class TestReverse:
     def test_output_is_validated(self):
         for aut in bundled_corpus().values():
             rev = reverse_automaton(aut)
-            assert validate_automaton(
-                RawAutomaton(rev.kind, rev.alphabet, rev.states, rev.start, rev.finals, rev.rules)
+            assert make_automaton(
+                rev.kind, rev.alphabet, rev.states, rev.start, rev.finals, rev.rules
             ) == rev
 
     @settings(max_examples=120, deadline=None)
@@ -66,8 +66,6 @@ class TestUnitRule:
         assert not is_unit_rule(load_bundled("dyck-grl"))
 
     def test_vacuous_on_empty_rule_set(self):
-        from jumpfa.core import make_automaton
-
         assert is_unit_rule(make_automaton("grl", "a", ["q0"], "q0"))
 
 
