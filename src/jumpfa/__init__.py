@@ -38,7 +38,6 @@ from .engine import (
     enumerate_language,
     format_trace,
     initial_config,
-    is_accepting,
     iter_words,
     member,
     naive_consume_successors,
@@ -50,7 +49,6 @@ from .oracles import (
     ORACLES,
     NamedPredicate,
     UnknownOracleError,
-    bundled_corpus,
     load_bundled,
     oracle_difference,
     oracle_eval,

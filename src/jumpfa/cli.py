@@ -49,10 +49,6 @@ def _word(arg: str) -> str:
     return "" if arg == EMPTY_WORD else arg
 
 
-def _print_word(word: str) -> None:
-    print(word or EMPTY_WORD)
-
-
 def _verdict(accepted: bool) -> int:
     print("accept" if accepted else "reject")
     return 0 if accepted else 1
@@ -65,12 +61,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    accepted, _ = member(_load_automaton(args.file), _word(args.word))
+    accepted, _ = member(_load_automaton(args.file), args.word)
     return _verdict(accepted)
 
 
 def _cmd_trace(args) -> int:
-    accepted, trace = member(_load_automaton(args.file), _word(args.word))
+    accepted, trace = member(_load_automaton(args.file), args.word)
     if not accepted:
         print("reject")
         return 1
@@ -80,7 +76,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     for word in enumerate_language(_load_automaton(args.file), args.max_len):
-        _print_word(word)
+        print(word or EMPTY_WORD)
     return 0
 
 
@@ -90,7 +86,7 @@ def _cmd_reverse(args) -> int:
 
 
 def _cmd_lba(args) -> int:
-    accepted, report = lba_run(_load_automaton(args.file), _word(args.word))
+    accepted, report = lba_run(_load_automaton(args.file), args.word)
     code = _verdict(accepted)
     print(f"cells={report.max_cells_used} compactions={report.compactions} steps={report.steps}")
     return code
@@ -118,7 +114,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    return _verdict(oracle_eval(args.name, _word(args.word)))
+    return _verdict(oracle_eval(args.name, args.word))
 
 
 def _cmd_examples(args) -> int:
@@ -134,52 +130,38 @@ def build_parser() -> argparse.ArgumentParser:
         "for generalized one-way jumping finite automata.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    word_help = (
-        f"input word; {EMPTY_WORD} for the empty word; put -- before a word that starts with -"
-    )
+    positionals = {
+        "file": {},
+        "name": {"choices": sorted(ORACLES)},
+        "word": {
+            "type": _word,
+            "help": f"input word; {EMPTY_WORD} for the empty word; "
+            "put -- before a word that starts with -",
+        },
+    }
 
-    p = sub.add_parser("validate", help="parse and validate an automaton file")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_validate)
+    def command(name, handler, help, *args):
+        p = sub.add_parser(name, help=help)
+        for arg in args:
+            p.add_argument(arg, **positionals[arg])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("member", help="decide whether a word is accepted")
-    p.add_argument("file")
-    p.add_argument("word", help=word_help)
-    p.set_defaults(handler=_cmd_member)
-
-    p = sub.add_parser("trace", help="print a shortest accepting run")
-    p.add_argument("file")
-    p.add_argument("word", help=word_help)
-    p.set_defaults(handler=_cmd_trace)
-
-    p = sub.add_parser("enumerate", help="list accepted words up to a length bound")
-    p.add_argument("file")
+    command("validate", _cmd_validate, "parse and validate an automaton file", "file")
+    command("member", _cmd_member, "decide whether a word is accepted", "file", "word")
+    command("trace", _cmd_trace, "print a shortest accepting run", "file", "word")
+    p = command("enumerate", _cmd_enumerate, "list accepted words up to a length bound", "file")
     p.add_argument("--max-len", type=_max_len, required=True)
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("reverse", help="print the kind-flipped, word-reversed automaton")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_reverse)
-
-    p = sub.add_parser("lba", help="run the marked-tape machine on a word")
-    p.add_argument("file")
-    p.add_argument("word", help=word_help)
-    p.set_defaults(handler=_cmd_lba)
-
-    p = sub.add_parser("compare", help="diff two automata, or an automaton against an oracle")
-    p.add_argument("file")
+    command("reverse", _cmd_reverse, "print the kind-flipped, word-reversed automaton", "file")
+    command("lba", _cmd_lba, "run the marked-tape machine on a word", "file", "word")
+    p = command(
+        "compare", _cmd_compare, "diff two automata, or an automaton against an oracle", "file"
+    )
     p.add_argument("other", nargs="?")
     p.add_argument("--oracle", choices=sorted(ORACLES))
     p.add_argument("--max-len", type=_max_len, required=True)
-    p.set_defaults(handler=_cmd_compare)
-
-    p = sub.add_parser("oracle", help="evaluate a ground-truth predicate on a word")
-    p.add_argument("name", choices=sorted(ORACLES))
-    p.add_argument("word", help=word_help)
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("examples", help="list the bundled automata")
-    p.set_defaults(handler=_cmd_examples)
+    command("oracle", _cmd_oracle, "evaluate a ground-truth predicate on a word", "name", "word")
+    command("examples", _cmd_examples, "list the bundled automata")
 
     return parser
 

@@ -21,6 +21,7 @@ INVALID_STATE_NAME = "invalid-state-name"
 UNKNOWN_STATE = "unknown-state"
 SYMBOL_OUTSIDE_ALPHABET = "symbol-outside-alphabet"
 EMPTY_RULE_WORD = "empty-rule-word"
+EMPTY_ALPHABET = "empty-alphabet"
 DUPLICATE_RULE_KEY = "duplicate-rule-key"
 MISSING_START = "missing-start"
 
@@ -161,6 +162,8 @@ def make_automaton(
     symbols = set(alphabet)
     problems: list[Violation] = []
 
+    if not alphabet:
+        problems.append(Violation(EMPTY_ALPHABET, "the alphabet has no symbols"))
     for symbol in alphabet:
         if not _symbol_ok(symbol):
             problems.append(

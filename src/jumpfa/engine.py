@@ -102,11 +102,6 @@ def initial_config(aut: Automaton, word: str) -> Configuration:
     return Configuration(word, aut.start, "")
 
 
-def is_accepting(aut: Automaton, config: Configuration) -> bool:
-    """True when the input is fully consumed in a final state."""
-    return not config.left and not config.right and config.state in aut.finals
-
-
 def contains_factor(word: str, words: Sequence[str]) -> bool:
     """True if any of ``words`` (all nonempty) occurs as a factor of ``word``."""
     return any(w in word for w in words)

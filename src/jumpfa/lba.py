@@ -112,12 +112,11 @@ def lba_run(
     if not start.cells and start.state in finals:
         return True, SpaceReport(max_cells, 0, 0)
 
-    accepted = False
     worst_steps = worst_compactions = 0
     visited = {start}
     queue: deque[tuple[TapeConfig, int, int]] = deque(((start, 0, 0),))
     expansions = 0
-    while queue and not accepted:
+    while queue:
         config, depth, compactions = queue.popleft()
         expansions += 1
         if expansions > max_expansions:
@@ -133,10 +132,9 @@ def lba_run(
             worst_steps = max(worst_steps, nxt_depth)
             worst_compactions = max(worst_compactions, nxt_compactions)
             if not nxt.cells and nxt.state in finals:
-                accepted = True
-                break
+                return True, SpaceReport(max_cells, worst_compactions, worst_steps)
             queue.append((nxt, nxt_depth, nxt_compactions))
-    return accepted, SpaceReport(max_cells, worst_compactions, worst_steps)
+    return False, SpaceReport(max_cells, worst_compactions, worst_steps)
 
 
 def lba_equivalence(aut: Automaton, max_len: int) -> list[str]:

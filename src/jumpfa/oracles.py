@@ -9,7 +9,6 @@ scans) so they stay independent of the engine they are used to check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 from typing import Callable
 
@@ -150,16 +149,6 @@ def load_bundled(name: str) -> Automaton:
         )
     text = resources.files(__package__).joinpath(f"corpus/{name}.jfa").read_text("utf-8")
     return parse_automaton(text)
-
-
-@lru_cache(maxsize=1)
-def _corpus() -> dict[str, Automaton]:
-    return {name: load_bundled(name) for name in CORPUS_CLAIMS}
-
-
-def bundled_corpus() -> dict[str, Automaton]:
-    """All bundled automata, keyed by name, every one already validated."""
-    return dict(_corpus())
 
 
 def oracle_difference(aut: Automaton, name: str, max_len: int) -> list[tuple[str, bool, bool]]:

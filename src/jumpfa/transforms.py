@@ -58,8 +58,9 @@ def one_way_reference_trace(aut: Automaton, word: str) -> list[OneWayConfig]:
     In each step the head scans the remaining input for the nearest deletable
     symbol (rightward for right-linear automata, leftward for left-linear),
     deletes it, and rotates the skipped text to the far end. The run stops
-    when the input is empty, no symbol is deletable, or a configuration
-    repeats (unreachable, since every step shortens the input, but guarded).
+    when the input is empty or no symbol is deletable. Every step shortens
+    the input by one symbol, so no configuration repeats and the trail has at
+    most ``len(word) + 1`` entries.
     """
     if not is_unit_rule(aut):
         raise NotUnitRuleError("every rule must delete a single symbol")
@@ -69,7 +70,6 @@ def one_way_reference_trace(aut: Automaton, word: str) -> list[OneWayConfig]:
 
     state, rest = aut.start, word
     trail = [OneWayConfig(state, rest)]
-    seen = {(state, rest)}
     while rest:
         symbols = deletable[state]
         if aut.kind is Kind.RIGHT:
@@ -81,9 +81,6 @@ def one_way_reference_trace(aut: Automaton, word: str) -> list[OneWayConfig]:
         state = step[(state, rest[pos])]
         rest = rest[pos + 1:] + rest[:pos]
         trail.append(OneWayConfig(state, rest))
-        if (state, rest) in seen:
-            break
-        seen.add((state, rest))
     return trail
 
 

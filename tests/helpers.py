@@ -10,6 +10,17 @@ from hypothesis import strategies as st
 from jumpfa.core import Automaton, Kind, Rule, make_automaton
 from jumpfa.engine import Configuration, Consume, Return, initial_config, successors
 from jumpfa.lba import TapeConfig, _machine_successors
+from jumpfa.oracles import CORPUS_CLAIMS, load_bundled
+
+
+def corpus() -> dict[str, Automaton]:
+    """Every bundled automaton, keyed by name."""
+    return {name: load_bundled(name) for name in CORPUS_CLAIMS}
+
+
+def is_accepting(aut: Automaton, config: Configuration) -> bool:
+    """True when the input is fully consumed in a final state."""
+    return not config.left and not config.right and config.state in aut.finals
 
 
 def all_words(alphabet: str, lo: int, hi: int) -> list[str]:

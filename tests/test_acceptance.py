@@ -23,7 +23,7 @@ from jumpfa.engine import (
     successors,
 )
 from jumpfa.lba import lba_run
-from jumpfa.oracles import bundled_corpus, load_bundled, oracle_eval
+from jumpfa.oracles import load_bundled, oracle_eval
 from jumpfa.transforms import one_way_reference_member, reverse_automaton
 
 
@@ -103,7 +103,7 @@ def test_criterion_06_balanced_plus_c_machines():
 
 def test_criterion_07_reversal_duality_and_bisimulation():
     with criterion(7, "reversal duality on the whole corpus to 8 + step bisimulation"):
-        for name, aut in bundled_corpus().items():
+        for name, aut in helpers.corpus().items():
             rev = reverse_automaton(aut)
             seen = set()
             for w in iter_words(aut.alphabet, 8):
@@ -132,7 +132,7 @@ def test_criterion_09_marked_tape_machine_equivalence_and_space_bound():
     with criterion(9, "marked-tape machine == engine (corpus to 8, 50 random to 7) + space bound"):
         rnd = random.Random(0xBEEF)
         randoms = [helpers.random_automaton(rnd) for _ in range(50)]
-        jobs = [(aut, 8) for aut in bundled_corpus().values()] + [(aut, 7) for aut in randoms]
+        jobs = [(aut, 8) for aut in helpers.corpus().values()] + [(aut, 7) for aut in randoms]
         for aut, bound in jobs:
             for w in iter_words(aut.alphabet, bound):
                 verdict, report = lba_run(aut, w)

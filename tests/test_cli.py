@@ -43,6 +43,9 @@ class TestTrace:
         assert out.splitlines()[1] == "b | q0 | b  -- consume(q0,a,q0 skip=b)"
         assert out.splitlines()[2] == "<eps> | q0 | bb  -- return"
 
+    def test_empty_word_token(self, capsys):
+        assert run(capsys, "trace", "dyck-grl.jfa", "<eps>") == (0, "<eps> | q0 | <eps>\n", "")
+
     def test_rejected_word(self, capsys):
         code, out, _ = run(capsys, "trace", "dyck-grl.jfa", "ba")
         assert (code, out) == (1, "reject\n")
@@ -79,6 +82,10 @@ class TestLba:
         code, out, _ = run(capsys, "lba", "dyck-grl.jfa", "ba")
         assert code == 1
         assert out.startswith("reject\ncells=4")
+
+    def test_empty_word_token(self, capsys):
+        code, out, _ = run(capsys, "lba", "dyck-grl.jfa", "<eps>")
+        assert (code, out) == (0, "accept\ncells=2 compactions=0 steps=0\n")
 
     def test_left_linear_machine(self, capsys):
         code, out, _ = run(capsys, "lba", "dyck-gll.jfa", "ab")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import helpers
 from jumpfa.core import (
     DUPLICATE_RULE_KEY,
+    EMPTY_ALPHABET,
     EMPTY_RULE_WORD,
     INVALID_STATE_NAME,
     INVALID_SYMBOL,
@@ -23,7 +24,7 @@ from jumpfa.core import (
     readable_words,
     serialize_automaton,
 )
-from jumpfa.oracles import bundled_corpus, load_bundled
+from jumpfa.oracles import load_bundled
 
 EXAMPLE1_RULES = [("q0", "b", "q1"), ("q0", "a", "q2"), ("q2", "a", "q3"), ("q3", "b", "q2")]
 
@@ -96,6 +97,12 @@ class TestValidate:
         assert codes(err.value) == {INVALID_SYMBOL}
         assert "'ab'" in str(err.value)
 
+    def test_empty_alphabet_rejected(self):
+        # the text format cannot hold an empty alphabet line
+        with pytest.raises(ValidationError) as err:
+            make_automaton("grl", "", ["q"], "q", ["q"])
+        assert codes(err.value) == {EMPTY_ALPHABET}
+
     def test_empty_finals_allowed(self):
         aut = make_automaton("grl", "ab", ["q0"], "q0")
         assert aut.finals == ()
@@ -115,7 +122,7 @@ class TestReadableWords:
             readable_words(example1(), "nope")
 
     def test_bounded_by_rule_count_and_nonempty(self):
-        for aut in bundled_corpus().values():
+        for aut in helpers.corpus().values():
             for q in aut.states:
                 words = readable_words(aut, q)
                 assert len(words) <= len(aut.rules)
@@ -185,11 +192,11 @@ class TestParse:
 
 class TestSerialize:
     def test_round_trip_is_identity_on_corpus(self):
-        for name, aut in bundled_corpus().items():
+        for name, aut in helpers.corpus().items():
             assert parse_automaton(serialize_automaton(aut)) == aut, name
 
     def test_canonicalization_is_byte_idempotent(self):
-        for name in bundled_corpus():
+        for name in helpers.corpus():
             import importlib.resources as res
 
             text = res.files("jumpfa").joinpath(f"corpus/{name}.jfa").read_text("utf-8")
@@ -224,13 +231,13 @@ class TestSerialize:
 
     @settings(max_examples=200)
     @given(
-        st.lists(st.text(max_size=2), min_size=1, max_size=3),
+        st.lists(st.text(max_size=2), min_size=0, max_size=3),
         st.lists(st.text(max_size=3), min_size=1, max_size=3),
     )
     def test_every_accepted_name_round_trips(self, alphabet, states):
-        rule = (states[0], alphabet[0], states[-1])
+        rules = [(states[0], alphabet[0], states[-1])] if alphabet else []
         try:
-            aut = make_automaton("grl", alphabet, states, states[0], states[-1:], [rule])
+            aut = make_automaton("grl", alphabet, states, states[0], states[-1:], rules)
         except ValidationError:
             return
         assert parse_automaton(serialize_automaton(aut)) == aut

@@ -19,7 +19,6 @@ from jumpfa.engine import (
     contains_factor,
     enumerate_language,
     initial_config,
-    is_accepting,
     iter_words,
     member,
     naive_consume_successors,
@@ -44,12 +43,6 @@ class TestConfigurations:
     def test_initial_rejects_foreign_symbols(self):
         with pytest.raises(SymbolOutsideAlphabetError):
             initial_config(load_bundled("dyck-grl"), "abc")
-
-    def test_accepting_needs_empty_buffers_and_final_state(self):
-        aut = load_bundled("example1-rowj")
-        assert is_accepting(aut, Configuration("", "q2", ""))
-        assert not is_accepting(aut, Configuration("b", "q2", ""))
-        assert not is_accepting(aut, Configuration("", "q3", ""))
 
 
 class TestPrimitives:
@@ -161,7 +154,7 @@ class TestMember:
                 assert trace is None
                 continue
             assert trace.configs[0] == initial_config(aut, word)
-            assert is_accepting(aut, trace.configs[-1])
+            assert helpers.is_accepting(aut, trace.configs[-1])
             for i, move in enumerate(trace.moves):
                 assert (move, trace.configs[i + 1]) in successors(aut, trace.configs[i])
 
@@ -243,8 +236,6 @@ class TestNaiveAgreement:
 def naive_member(aut, word):
     """Memoized reachability over the naive successor relation: a second,
     independent route to the membership verdict."""
-    from jumpfa.engine import initial_config, is_accepting
-
     seen = set()
     stack = [initial_config(aut, word)]
     while stack:
@@ -252,7 +243,7 @@ def naive_member(aut, word):
         if config in seen:
             continue
         seen.add(config)
-        if is_accepting(aut, config):
+        if helpers.is_accepting(aut, config):
             return True
         stack.extend(nxt for _, nxt in naive_consume_successors(aut, config))
         ret = helpers.return_step(aut, config)
@@ -297,7 +288,7 @@ def unpruned_member(aut, word):
     """Breadth-first search over the public successor relation, storing and
     expanding every configuration, dead states included."""
     start = initial_config(aut, word)
-    if is_accepting(aut, start):
+    if helpers.is_accepting(aut, start):
         return True, Trace((start,), ())
     paths = {start: None}
     queue = deque((start,))
@@ -307,7 +298,7 @@ def unpruned_member(aut, word):
             if nxt in paths:
                 continue
             paths[nxt] = (config, move)
-            if is_accepting(aut, nxt):
+            if helpers.is_accepting(aut, nxt):
                 configs, moves = [nxt], []
                 while paths[configs[-1]] is not None:
                     prev, step = paths[configs[-1]]

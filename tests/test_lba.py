@@ -16,9 +16,9 @@ from jumpfa.engine import (
     successors,
 )
 from jumpfa.lba import TapeConfig, _compact, lba_equivalence, lba_run
-from jumpfa.oracles import bundled_corpus, load_bundled
+from jumpfa.oracles import load_bundled
 
-RIGHT_CORPUS = [name for name, aut in bundled_corpus().items() if aut.kind is Kind.RIGHT]
+RIGHT_CORPUS = [name for name, aut in helpers.corpus().items() if aut.kind is Kind.RIGHT]
 
 
 def projection(config: TapeConfig) -> Configuration:

@@ -10,7 +10,6 @@ from jumpfa.oracles import (
     CORPUS_CLAIMS,
     ORACLES,
     UnknownOracleError,
-    bundled_corpus,
     load_bundled,
     oracle_difference,
     oracle_eval,
@@ -65,7 +64,7 @@ class TestPredicates:
 
 class TestCorpus:
     def test_every_entry_loads_and_validates(self):
-        corpus = bundled_corpus()
+        corpus = helpers.corpus()
         assert set(corpus) == set(CORPUS_CLAIMS)
         for name, aut in corpus.items():
             fields = (aut.kind, aut.alphabet, aut.states, aut.start, aut.finals, aut.rules)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import helpers
 from jumpfa.core import Kind, make_automaton
 from jumpfa.engine import accepts, enumerate_language, iter_words
-from jumpfa.oracles import bundled_corpus, load_bundled, oracle_eval
+from jumpfa.oracles import load_bundled, oracle_eval
 from jumpfa.transforms import (
     AlphabetMismatchError,
     NotUnitRuleError,
@@ -27,7 +27,7 @@ class TestReverse:
         assert [r.word for r in rev.rules] == ["ba"]
 
     def test_involution(self):
-        for name, aut in bundled_corpus().items():
+        for name, aut in helpers.corpus().items():
             assert reverse_automaton(reverse_automaton(aut)) == aut, name
 
     def test_reversed_dyck_accepts_mirrored_words(self):
@@ -48,7 +48,7 @@ class TestReverse:
         assert enumerate_language(rev, 6) == expected
 
     def test_output_is_validated(self):
-        for aut in bundled_corpus().values():
+        for aut in helpers.corpus().values():
             rev = reverse_automaton(aut)
             assert make_automaton(
                 rev.kind, rev.alphabet, rev.states, rev.start, rev.finals, rev.rules
@@ -105,6 +105,10 @@ class TestOneWayReference:
     @given(helpers.automata(max_word_len=1), st.text(alphabet="ab", max_size=10))
     def test_agrees_with_engine_on_random_unit_machines(self, aut, word):
         assert one_way_reference_member(aut, word) == accepts(aut, word)
+        trail = one_way_reference_trace(aut, word)
+        assert len(trail) <= len(word) + 1
+        for before, after in zip(trail, trail[1:]):
+            assert len(after.remaining) == len(before.remaining) - 1
 
 
 class TestLanguageDifference:
