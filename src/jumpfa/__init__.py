@@ -41,6 +41,7 @@ from .engine import (
     iter_words,
     member,
     naive_consume_successors,
+    shortest_trace,
     successors,
 )
 from .lba import SpaceReport, TapeConfig, lba_equivalence, lba_run

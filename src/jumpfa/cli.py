@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .core import EMPTY_WORD, Automaton, JumpfaError, parse_automaton, serialize_automaton
-from .engine import enumerate_language, format_trace, member
+from .engine import enumerate_language, format_trace, member, shortest_trace
 from .lba import lba_run
 from .oracles import CORPUS_CLAIMS, ORACLES, load_bundled, oracle_difference, oracle_eval
 from .transforms import language_difference, reverse_automaton
@@ -66,7 +67,7 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    accepted, trace = member(_load_automaton(args.file), args.word)
+    accepted, trace = shortest_trace(_load_automaton(args.file), args.word)
     if not accepted:
         print("reject")
         return 1
@@ -166,9 +167,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, built on first use and kept for the process:
+    building the parser takes far longer than parsing one command line."""
+    return build_parser()
+
+
 def run_cli(argv: list[str]) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -12,9 +12,11 @@ mirror image. Two move shapes exist:
 
 Several rule words may be deletable at once (e.g. words ``a`` and ``aa``
 ahead of the same position), so acceptance is existential over branches and
-:func:`member` performs a breadth-first search of the configuration graph.
-Every consume strictly shrinks the input and returns never repeat, so the
-graph is acyclic and the search terminates.
+:func:`member` performs a depth-first search of the configuration graph,
+stopping at the first accepting run it finds. :func:`shortest_trace` runs the
+same search breadth-first, for a shortest run. Every consume strictly shrinks
+the input and returns never repeat, so the graph is acyclic and the search
+terminates.
 
 One consume rule decides every deletion of a step (:func:`enabled_deletions`):
 find the nearest occurrence of each rule word once; a rule fires iff its
@@ -26,7 +28,7 @@ literal side conditions instead and serves as the specification.
 The search prunes dead states, those from which no final state is reachable
 along the rules (``Automaton.live`` holds the others). Dead configurations
 only lead to dead ones, so dropping them changes neither verdicts nor the
-shortest traces found. The marked-tape machine in :mod:`jumpfa.lba` does not
+traces found. The marked-tape machine in :mod:`jumpfa.lba` does not
 prune: its space report describes the whole unpruned search, and it stays an
 independent check of this engine for both kinds, running a left-linear
 automaton as its right-linear reversal.
@@ -225,11 +227,39 @@ def naive_consume_successors(
 def member(
     aut: Automaton, word: str, *, max_expansions: int = DEFAULT_MAX_EXPANSIONS
 ) -> tuple[bool, Trace | None]:
-    """Decide membership; on acceptance also return a shortest trace.
+    """Decide membership; on acceptance also return an accepting run.
+
+    Depth-first search over exact configurations: it always expands the
+    configuration discovered last and stops at the first accepting one it
+    discovers. On accepted words it usually expands far fewer configurations
+    than :func:`shortest_trace`; the run it returns is reproducible but need
+    not be a shortest one. On a rejected word both searches expand every live
+    reachable configuration once, so ``max_expansions`` gives up on exactly
+    the same rejected inputs.
+    """
+    return _search(aut, word, max_expansions, deque.pop)
+
+
+def shortest_trace(
+    aut: Automaton, word: str, *, max_expansions: int = DEFAULT_MAX_EXPANSIONS
+) -> tuple[bool, Trace | None]:
+    """Decide membership; on acceptance also return a shortest accepting run.
 
     Breadth-first search over exact configurations. Ties between equal-depth
     branches resolve in rule declaration order with the return jump last, so
     the returned trace is reproducible.
+    """
+    return _search(aut, word, max_expansions, deque.popleft)
+
+
+def _search(
+    aut: Automaton,
+    word: str,
+    max_expansions: int,
+    take: Callable[[deque[Configuration]], Configuration],
+) -> tuple[bool, Trace | None]:
+    """The search behind :func:`member` and :func:`shortest_trace`; ``take``
+    picks the next configuration to expand from the frontier.
 
     Configurations whose state is not in ``aut.live`` are never stored or
     expanded: none of them can lead to acceptance and all their successors
@@ -244,10 +274,10 @@ def member(
     if not start.left and not start.right and start.state in finals:
         return True, Trace((start,), ())
     paths: dict[Configuration, tuple[Configuration, Move] | None] = {start: None}
-    queue: deque[Configuration] = deque((start,))
+    frontier: deque[Configuration] = deque((start,))
     expansions = 0
-    while queue:
-        config = queue.popleft()
+    while frontier:
+        config = take(frontier)
         expansions += 1
         if expansions > max_expansions:
             raise SearchLimitError(
@@ -259,7 +289,7 @@ def member(
             paths[nxt] = (config, move)
             if not nxt.left and not nxt.right and nxt.state in finals:
                 return True, _backtrack(paths, nxt)
-            queue.append(nxt)
+            frontier.append(nxt)
     return False, None
 
 

@@ -1,5 +1,6 @@
 """Command-line behavior: verdict exit codes, deterministic output."""
 
+from jumpfa import cli
 from jumpfa.cli import run_cli
 from jumpfa.oracles import CORPUS_CLAIMS
 
@@ -173,3 +174,27 @@ class TestExamplesAndValidate:
         code, out, err = run(capsys, "enumerate", "dyck-grl", "--max-len", "-1")
         assert (code, out) == (2, "")
         assert "must not be negative" in err
+
+
+class TestSharedParser:
+    ARGVS = [
+        ["member", "dyck-grl.jfa", "aabb"],
+        ["enumerate", "dyck-grl.jfa"],  # usage error: --max-len missing
+        ["compare", "dyck-grl.jfa", "astarbstar-dfa.jfa", "--max-len", "3"],
+        ["compare", "dyck-grl.jfa", "--oracle", "dyck", "--max-len", "3"],
+        ["trace", "exrl-grl.jfa", "bab"],
+        ["oracle", "nope", "a"],  # usage error: unknown oracle
+        [],  # usage error: no subcommand
+        ["-h"],
+        ["compare", "-h"],
+        ["member", "dyck-grl.jfa", "abba"],
+    ]
+
+    def test_reused_parser_matches_a_fresh_one(self, capsys, monkeypatch):
+        # A command must not see anything an earlier command left in the parser.
+        shared = [run(capsys, *argv) for argv in self.ARGVS * 2]
+        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+        fresh = [run(capsys, *argv) for argv in self.ARGVS * 2]
+        assert shared == fresh
+        codes = [code for code, _, _ in shared[: len(self.ARGVS)]]
+        assert codes == [0, 2, 1, 0, 0, 2, 2, 0, 0, 1]

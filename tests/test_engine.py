@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from jumpfa import engine
 from jumpfa.core import SymbolOutsideAlphabetError, make_automaton
 from jumpfa.engine import (
     Configuration,
@@ -22,6 +23,7 @@ from jumpfa.engine import (
     iter_words,
     member,
     naive_consume_successors,
+    shortest_trace,
     successors,
 )
 from jumpfa.oracles import load_bundled
@@ -130,6 +132,34 @@ class TestSuccessors:
         assert [c for _, c in steps] == [Configuration("b", "q1", "b")]
 
 
+def assert_traces_replay(search):
+    aut = load_bundled("nonrowj-grl")
+    for word in ["abab", "ba", "aaa", "abba"]:
+        accepted, trace = search(aut, word)
+        if not accepted:
+            assert trace is None
+            continue
+        assert_replays(aut, word, trace)
+
+
+def assert_replays(aut, word, trace):
+    """``trace`` starts on ``word``, follows ``successors`` and ends accepting."""
+    assert trace.configs[0] == initial_config(aut, word)
+    assert helpers.is_accepting(aut, trace.configs[-1])
+    assert len(trace.configs) == len(trace.moves) + 1
+    for i, move in enumerate(trace.moves):
+        assert (move, trace.configs[i + 1]) in successors(aut, trace.configs[i])
+
+
+def assert_empty_input_accepted_iff_start_final(search):
+    accepting_start = make_automaton("grl", "ab", ["q0"], "q0", ["q0"])
+    accepted, trace = search(accepting_start, "")
+    assert accepted and trace.moves == ()
+    assert successors(accepting_start, initial_config(accepting_start, "")) == []
+    rejecting_start = make_automaton("gll", "ab", ["q0", "q1"], "q0", ["q1"])
+    assert not search(rejecting_start, "")[0]
+
+
 class TestMember:
     def test_unit_rule_machine_accepts_worked_word(self):
         assert member(load_bundled("example1-rowj"), "abbaa")[0]
@@ -147,27 +177,21 @@ class TestMember:
         assert not member(aut, "cab")[0]
 
     def test_trace_replays_as_valid_run(self):
-        aut = load_bundled("nonrowj-grl")
-        for word in ["abab", "ba", "aaa", "abba"]:
-            accepted, trace = member(aut, word)
-            if not accepted:
-                assert trace is None
-                continue
-            assert trace.configs[0] == initial_config(aut, word)
-            assert helpers.is_accepting(aut, trace.configs[-1])
-            for i, move in enumerate(trace.moves):
-                assert (move, trace.configs[i + 1]) in successors(aut, trace.configs[i])
+        assert_traces_replay(member)
+
+    def test_shortest_trace_replays_as_valid_run(self):
+        assert_traces_replay(shortest_trace)
 
     def test_trace_is_deterministic(self):
         aut = load_bundled("exrl-grl")
-        assert member(aut, "bab") == member(aut, "bab")
+        assert shortest_trace(aut, "bab") == shortest_trace(aut, "bab")
 
     def test_canonical_trace_for_a_loop_bb_machine(self):
         # a^l b a^m b a^n: delete the a's front to back (jumping each b),
         # wrap around, then delete the assembled bb.
         aut = load_bundled("exrl-grl")
         rule_a, rule_bb = aut.rules
-        _, trace = member(aut, "abaaba")
+        _, trace = shortest_trace(aut, "abaaba")
         assert list(trace.moves) == [
             Consume(rule_a, ""),
             Consume(rule_a, "b"),
@@ -178,16 +202,18 @@ class TestMember:
         ]
 
     def test_empty_input_accepted_iff_start_final(self):
-        accepting_start = make_automaton("grl", "ab", ["q0"], "q0", ["q0"])
-        accepted, trace = member(accepting_start, "")
-        assert accepted and trace.moves == ()
-        assert successors(accepting_start, initial_config(accepting_start, "")) == []
-        rejecting_start = make_automaton("gll", "ab", ["q0", "q1"], "q0", ["q1"])
-        assert not member(rejecting_start, "")[0]
+        assert_empty_input_accepted_iff_start_final(member)
+
+    def test_shortest_trace_empty_input_accepted_iff_start_final(self):
+        assert_empty_input_accepted_iff_start_final(shortest_trace)
 
     def test_search_limit_guard(self):
         with pytest.raises(SearchLimitError):
             member(load_bundled("dyck-grl"), "aaabbb", max_expansions=2)
+
+    def test_shortest_trace_search_limit_guard(self):
+        with pytest.raises(SearchLimitError):
+            shortest_trace(load_bundled("dyck-grl"), "aaabbb", max_expansions=2)
 
     def test_word_over_alphabet_required(self):
         with pytest.raises(SymbolOutsideAlphabetError):
@@ -313,7 +339,7 @@ class TestDeadStatePruning:
     @settings(max_examples=400, deadline=None)
     @given(helpers.automata(), st.text(alphabet="ab", max_size=9))
     def test_member_equals_unpruned_search(self, aut, word):
-        assert member(aut, word) == unpruned_member(aut, word)
+        assert shortest_trace(aut, word) == unpruned_member(aut, word)
 
     def test_machine_without_finals_rejects_without_searching(self):
         # One-state gll machine whose unpruned search grows exponentially:
@@ -325,3 +351,62 @@ class TestDeadStatePruning:
         rnd = random.Random(64)
         word = "".join(rnd.choice("ab") for _ in range(64))
         assert member(aut, word, max_expansions=1) == (False, None)
+
+
+def successor_calls(search, aut, word):
+    """The verdict of ``search(aut, word)`` and how many configurations it
+    expanded, counted as calls of the engine's successor step."""
+    calls = 0
+    step = engine._successors
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_successors", counted)
+        accepted, _ = search(aut, word)
+    return accepted, calls
+
+
+def assert_depth_first_agrees(aut, word):
+    accepted, trace = member(aut, word)
+    shortest_accepted, shortest = shortest_trace(aut, word)
+    assert accepted == shortest_accepted
+    if accepted:
+        assert_replays(aut, word, trace)
+        assert len(trace.moves) >= len(shortest.moves)
+    else:
+        assert trace is None
+        # both orders exhaust the same live configurations
+        assert successor_calls(member, aut, word) == successor_calls(shortest_trace, aut, word)
+
+
+class TestDepthFirstMember:
+    """``member`` searches depth-first; ``shortest_trace`` is the breadth-first
+    reference it must agree with."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(helpers.automata(), st.text(alphabet="ab", max_size=9))
+    def test_agrees_with_shortest_trace(self, aut, word):
+        assert_depth_first_agrees(aut, word)
+
+    def test_agrees_with_shortest_trace_on_the_corpus(self):
+        for aut in helpers.corpus().values():
+            max_len = 6 if len(aut.alphabet) <= 2 else 5
+            for word in iter_words(aut.alphabet, max_len):
+                assert_depth_first_agrees(aut, word)
+
+    def test_accepts_within_a_budget_the_breadth_first_search_exceeds(self):
+        aut = make_automaton(
+            "gll", "ab", ["q0"], "q0", ["q0"],
+            [("q0", w, "q0") for w in ("abb", "aaa", "ba", "aab", "bb", "ab")],
+        )
+        rnd = random.Random(40)
+        word = "".join(rnd.choice("ab") for _ in range(40))
+        accepted, trace = member(aut, word, max_expansions=100)
+        assert accepted
+        assert_replays(aut, word, trace)
+        with pytest.raises(SearchLimitError):
+            shortest_trace(aut, word, max_expansions=100)
