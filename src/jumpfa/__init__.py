@@ -33,7 +33,6 @@ from .engine import (
     Return,
     SearchLimitError,
     Trace,
-    accepts,
     contains_factor,
     enumerate_language,
     format_trace,

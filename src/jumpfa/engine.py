@@ -309,11 +309,6 @@ def _backtrack(
     return Trace(tuple(configs), tuple(moves))
 
 
-def accepts(aut: Automaton, word: str) -> bool:
-    """Membership verdict only."""
-    return member(aut, word)[0]
-
-
 def iter_words(alphabet: Sequence[str], max_len: int) -> Iterator[str]:
     """All words of length <= max_len in length-then-lexicographic order,
     using the declaration order of ``alphabet``."""

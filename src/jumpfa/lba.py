@@ -10,7 +10,10 @@ consumed word are first marked in place, and marked cells are physically
 removed (the surviving cells shift left, markers pulled in) only when the
 head would run past the right marker or when nothing ahead of the head is
 readable. The second case also realizes the engine's wrap-around move: after
-compaction the head stands on the first surviving cell.
+compaction the head stands on the first surviving cell. Compaction copies
+each surviving stretch of cells with one slice, so its Python work follows
+the number of marked runs, not the tape length; each run was marked by one
+macro-step, so that work is amortized into the steps.
 
 Nondeterministic rule choice is resolved by breadth-first search over machine
 configurations. The only possible repeat is the idle compaction of a stuck
@@ -65,9 +68,15 @@ class SpaceReport:
 
 
 def _compact(cells: str, marks: int) -> str:
-    if not marks:
-        return cells
-    return "".join(ch for i, ch in enumerate(cells) if not marks >> i & 1)
+    """``cells`` with its marked cells removed, one slice per kept stretch."""
+    # bits[i] == "1" iff cells[i] is marked; the trailing "0" ends the last run
+    bits = format(marks, "b")[::-1] + "0"
+    kept, keep = [], 0
+    while (cut := bits.find("1", keep)) >= 0:
+        kept.append(cells[keep:cut])
+        keep = bits.find("0", cut)
+    kept.append(cells[keep:])
+    return "".join(kept)
 
 
 def _machine_successors(

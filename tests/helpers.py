@@ -8,7 +8,7 @@ from itertools import product
 from hypothesis import strategies as st
 
 from jumpfa.core import Automaton, Kind, Rule, make_automaton
-from jumpfa.engine import Configuration, Consume, Return, initial_config, successors
+from jumpfa.engine import Configuration, Consume, Return, initial_config, member, successors
 from jumpfa.lba import TapeConfig, _machine_successors
 from jumpfa.oracles import CORPUS_CLAIMS, load_bundled
 
@@ -21,6 +21,11 @@ def corpus() -> dict[str, Automaton]:
 def is_accepting(aut: Automaton, config: Configuration) -> bool:
     """True when the input is fully consumed in a final state."""
     return not config.left and not config.right and config.state in aut.finals
+
+
+def accepts(aut: Automaton, word: str) -> bool:
+    """Membership verdict only."""
+    return member(aut, word)[0]
 
 
 def all_words(alphabet: str, lo: int, hi: int) -> list[str]:
@@ -88,6 +93,30 @@ def walk_edges(aut: Automaton, word: str):
             edges.append((config, move, nxt))
             frontier.append(nxt)
     return edges
+
+
+def compact_per_cell(cells: str, marks: int) -> str:
+    """Specification of ``lba._compact``: keep the unmarked cells, one by one."""
+    return "".join(ch for i, ch in enumerate(cells) if not marks >> i & 1)
+
+
+@st.composite
+def marked_tapes(draw, alphabet="abc", max_cells=64):
+    """A tape and a bitmask of marks over its cells (``marks < 2**len(cells)``):
+    either any mask, or runs of marks with short or long gaps between them,
+    so that many short runs, long kept stretches and marks on the last cell
+    each come up."""
+    cells = draw(st.text(alphabet=alphabet, max_size=max_cells))
+    if draw(st.booleans()):
+        return cells, draw(st.integers(0, (1 << len(cells)) - 1))
+    span = st.integers(1, 3) | st.integers(1, max(1, len(cells)))
+    marks, i = 0, 0
+    while i < len(cells):
+        gap, run = draw(st.just(0) | span), draw(span)
+        lo, hi = min(i + gap, len(cells)), min(i + gap + run, len(cells))
+        marks |= ((1 << (hi - lo)) - 1) << lo
+        i = hi
+    return cells, marks
 
 
 def walk_tape_edges(aut: Automaton, word: str):

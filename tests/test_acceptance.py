@@ -15,7 +15,6 @@ from jumpfa.core import Kind
 from jumpfa.engine import (
     Consume,
     RETURN,
-    accepts,
     enumerate_language,
     iter_words,
     member,
@@ -56,7 +55,7 @@ def test_criterion_01_unit_rule_machine_language_and_reference_agreement():
         words = list(iter_words("ab", 10))
         assert len(words) == 2**11 - 1
         for w in words:
-            assert one_way_reference_member(aut, w) == accepts(aut, w), w
+            assert one_way_reference_member(aut, w) == helpers.accepts(aut, w), w
 
 
 def test_criterion_02_a_loop_bb_machine_both_kinds():
@@ -107,7 +106,7 @@ def test_criterion_07_reversal_duality_and_bisimulation():
             rev = reverse_automaton(aut)
             seen = set()
             for w in iter_words(aut.alphabet, 8):
-                assert accepts(aut, w) == accepts(rev, w[::-1]), (name, w)
+                assert helpers.accepts(aut, w) == helpers.accepts(rev, w[::-1]), (name, w)
                 helpers.walk_configs(aut, w, seen)
             for config in seen:
                 mapped = [helpers.mirror_step(s) for s in successors(aut, config)]
@@ -137,7 +136,7 @@ def test_criterion_09_marked_tape_machine_equivalence_and_space_bound():
             for w in iter_words(aut.alphabet, bound):
                 verdict, report = lba_run(aut, w)
                 assert report.max_cells_used <= len(w) + 2, (aut, w)
-                assert verdict == accepts(aut, w), (aut, w)
+                assert verdict == helpers.accepts(aut, w), (aut, w)
 
 
 def test_criterion_10_structural_invariants_and_search_guard():

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 import helpers
 from jumpfa import lba
@@ -15,16 +16,14 @@ from jumpfa.engine import (
     member,
     successors,
 )
-from jumpfa.lba import TapeConfig, _compact, lba_equivalence, lba_run
+from jumpfa.lba import SpaceReport, TapeConfig, _compact, lba_equivalence, lba_run
 from jumpfa.oracles import load_bundled
 
 RIGHT_CORPUS = [name for name, aut in helpers.corpus().items() if aut.kind is Kind.RIGHT]
 
 
 def projection(config: TapeConfig) -> Configuration:
-    kept_left = "".join(
-        ch for i, ch in enumerate(config.cells[: config.head]) if not config.marks >> i & 1
-    )
+    kept_left = helpers.compact_per_cell(config.cells[: config.head], config.marks)
     return Configuration(kept_left, config.state, config.cells[config.head:])
 
 
@@ -54,12 +53,31 @@ class TestRuns:
         assert not accepted
         assert report.steps == 0  # idle compaction is a fixed point, branch is cut
 
+    def test_long_balanced_word_report(self):
+        """Values measured with the per-cell compaction; 2000 compactions."""
+        word = "a" * 2000 + "b" * 2000
+        assert lba_run(load_bundled("dyck-grl"), word) == (True, SpaceReport(4002, 2000, 3999))
+
 
 class TestTapeInvariants:
     def test_compaction_keeps_unmarked_cells_in_order(self):
         assert _compact("abcd", 0b0110) == "ad"
         assert _compact("abcd", 0) == "abcd"
         assert _compact("ab", 0b11) == ""
+
+    @settings(max_examples=300, deadline=None)
+    @given(helpers.marked_tapes())
+    @example(("", 0))
+    @example(("abc", 0))
+    @example(("abc", 0b111))
+    @example(("abc", 0b100))
+    @example(("abc", 0b001))
+    @example(("abcdefgh", 0b10101010))
+    @example(("ab" * 500, int("01" * 500, 2)))
+    def test_compaction_equals_per_cell_reference(self, tape):
+        cells, marks = tape
+        assert marks < 1 << len(cells)
+        assert _compact(cells, marks) == helpers.compact_per_cell(cells, marks)
 
     @pytest.mark.parametrize("name", RIGHT_CORPUS)
     def test_cells_from_head_onward_are_unmarked(self, name):
