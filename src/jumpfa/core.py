@@ -228,7 +228,11 @@ def readable_words(aut: Automaton, state: str) -> frozenset[str]:
 
 
 def check_word(aut: Automaton, word: str) -> None:
-    """Raise unless every symbol of ``word`` belongs to the alphabet."""
+    """Raise unless every symbol of ``word`` belongs to the alphabet.
+
+    One set test decides; the loop only names the first bad symbol."""
+    if set(word).issubset(aut.alphabet):
+        return
     for ch in word:
         if ch not in aut.alphabet:
             raise SymbolOutsideAlphabetError(

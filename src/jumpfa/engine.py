@@ -16,7 +16,11 @@ ahead of the same position), so acceptance is existential over branches and
 stopping at the first accepting run it finds. :func:`shortest_trace` runs the
 same search breadth-first, for a shortest run. Every consume strictly shrinks
 the input and returns never repeat, so the graph is acyclic and the search
-terminates.
+terminates. The search stores no configuration until it branches: while each
+expansion yields at most one successor the run cannot meet itself, so on a
+machine with one rule per state it keeps only the moves it has made. A
+:class:`Trace` holds its start configuration and its moves, and replays its
+configurations from the moves when they are first read.
 
 One consume rule decides every deletion of a step (:func:`enabled_deletions`):
 find the nearest occurrence of each rule word once; a rule fires iff its
@@ -37,7 +41,8 @@ automaton as its right-linear reversal.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -85,15 +90,46 @@ RETURN = Return()
 
 Move = Consume | Return
 
+# The moves that reached a configuration, last first: ``(move, parent_path)``,
+# with ``None`` at the start configuration.
+_Path = tuple[Move, "_Path"] | None
+
 
 @dataclass(frozen=True)
 class Trace:
     """An accepting run: ``configs[0]`` is initial, ``moves[i]`` links
     ``configs[i]`` to ``configs[i + 1]``, and the last configuration is a
-    bare final state."""
+    bare final state.
 
-    configs: tuple[Configuration, ...]
+    Only the start configuration and the moves are stored. A consume's rule
+    and skip fix the configuration after it, and a return wraps by ``kind``,
+    so ``configs`` is replayed from the moves when it is first read, and
+    cached. Two traces are equal iff their configurations and moves are.
+    """
+
+    kind: Kind = field(compare=False)
+    start: Configuration
     moves: tuple[Move, ...]
+
+    @cached_property
+    def configs(self) -> tuple[Configuration, ...]:
+        left, state, right = self.start
+        configs = [self.start]
+        for move in self.moves:
+            if isinstance(move, Return):
+                text = left + right
+                left, right = ("", text) if self.kind is Kind.RIGHT else (text, "")
+            elif self.kind is Kind.RIGHT:
+                cut = len(move.skip) + len(move.rule.word)
+                left, state, right = left + move.skip, move.rule.dst, right[cut:]
+            else:
+                cut = len(left) - len(move.skip) - len(move.rule.word)
+                left, state, right = left[:cut], move.rule.dst, move.skip + right
+            configs.append(Configuration(left, state, right))
+        return tuple(configs)
+
+    def __repr__(self) -> str:
+        return f"Trace(configs={self.configs!r}, moves={self.moves!r})"
 
 
 def initial_config(aut: Automaton, word: str) -> Configuration:
@@ -256,7 +292,7 @@ def _search(
     aut: Automaton,
     word: str,
     max_expansions: int,
-    take: Callable[[deque[Configuration]], Configuration],
+    take: Callable[[deque[tuple[Configuration, _Path]]], tuple[Configuration, _Path]],
 ) -> tuple[bool, Trace | None]:
     """The search behind :func:`member` and :func:`shortest_trace`; ``take``
     picks the next configuration to expand from the frontier.
@@ -266,47 +302,56 @@ def _search(
     are dead too, so the live configurations are discovered in the same order
     as by the unpruned search, and verdicts and traces are unchanged. Only the
     expansion count that ``max_expansions`` bounds shrinks.
+
+    The search stores nothing until it branches. Each frontier entry carries
+    the moves that reached it as a linked path, ``(move, parent_path)``, so no
+    configuration is kept once expanded. The graph is acyclic, so while every
+    expansion has yielded at most one successor (dead ones counted) the
+    configurations found form one path that cannot meet itself. The visited
+    set is created at the first expansion that yields two or more, and every
+    configuration discovered from then on goes into it; none found earlier can
+    be reached again, being an ancestor of all that follow. So every live
+    reachable configuration is still expanded exactly once.
     """
     start = initial_config(aut, word)
     finals, live, rules_from, kind = aut.finals, aut.live, aut.rules_from, aut.kind
     if start.state not in live:
         return False, None
     if not start.left and not start.right and start.state in finals:
-        return True, Trace((start,), ())
-    paths: dict[Configuration, tuple[Configuration, Move] | None] = {start: None}
-    frontier: deque[Configuration] = deque((start,))
+        return True, Trace(kind, start, ())
+    seen: set[Configuration] | None = None
+    frontier: deque[tuple[Configuration, _Path]] = deque(((start, None),))
     expansions = 0
     while frontier:
-        config = take(frontier)
+        config, path = take(frontier)
         expansions += 1
         if expansions > max_expansions:
             raise SearchLimitError(
                 f"gave up after {max_expansions} expansions on input of length {len(word)}"
             )
-        for move, nxt in _successors(kind, rules_from, config):
-            if nxt.state not in live or nxt in paths:
+        steps = _successors(kind, rules_from, config)
+        if seen is None and len(steps) > 1:
+            seen = set()
+        for move, nxt in steps:
+            if nxt.state not in live:
                 continue
-            paths[nxt] = (config, move)
+            if seen is not None:
+                if nxt in seen:
+                    continue
+                seen.add(nxt)
             if not nxt.left and not nxt.right and nxt.state in finals:
-                return True, _backtrack(paths, nxt)
-            frontier.append(nxt)
+                return True, Trace(kind, start, _moves((move, path)))
+            frontier.append((nxt, (move, path)))
     return False, None
 
 
-def _backtrack(
-    paths: dict[Configuration, tuple[Configuration, Move] | None], last: Configuration
-) -> Trace:
-    configs = [last]
+def _moves(path: _Path) -> tuple[Move, ...]:
     moves: list[Move] = []
-    step = paths[last]
-    while step is not None:
-        prev, move = step
-        configs.append(prev)
+    while path is not None:
+        move, path = path
         moves.append(move)
-        step = paths[prev]
-    configs.reverse()
     moves.reverse()
-    return Trace(tuple(configs), tuple(moves))
+    return tuple(moves)
 
 
 def iter_words(alphabet: Sequence[str], max_len: int) -> Iterator[str]:

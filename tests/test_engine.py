@@ -1,6 +1,7 @@
 """One-step semantics, membership search, and enumeration."""
 
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -16,7 +17,6 @@ from jumpfa.engine import (
     RETURN,
     Return,
     SearchLimitError,
-    Trace,
     contains_factor,
     enumerate_language,
     initial_config,
@@ -45,6 +45,11 @@ class TestConfigurations:
     def test_initial_rejects_foreign_symbols(self):
         with pytest.raises(SymbolOutsideAlphabetError):
             initial_config(load_bundled("dyck-grl"), "abc")
+
+    def test_foreign_symbol_error_names_the_first_one(self):
+        with pytest.raises(SymbolOutsideAlphabetError) as err:
+            initial_config(load_bundled("dyck-grl"), "abyxb")
+        assert str(err.value) == "symbol 'y' is not in the alphabet 'ab'"
 
 
 class TestPrimitives:
@@ -312,10 +317,12 @@ class TestInvariants:
 
 def unpruned_member(aut, word):
     """Breadth-first search over the public successor relation, storing and
-    expanding every configuration, dead states included."""
+    expanding every configuration, dead states included. On acceptance it
+    returns the configurations and the moves of the run it found, read back
+    from its own table of predecessors."""
     start = initial_config(aut, word)
     if helpers.is_accepting(aut, start):
-        return True, Trace((start,), ())
+        return True, (start,), ()
     paths = {start: None}
     queue = deque((start,))
     while queue:
@@ -330,16 +337,18 @@ def unpruned_member(aut, word):
                     prev, step = paths[configs[-1]]
                     configs.append(prev)
                     moves.append(step)
-                return True, Trace(tuple(reversed(configs)), tuple(reversed(moves)))
+                return True, tuple(reversed(configs)), tuple(reversed(moves))
             queue.append(nxt)
-    return False, None
+    return False, None, None
 
 
 class TestDeadStatePruning:
     @settings(max_examples=400, deadline=None)
     @given(helpers.automata(), st.text(alphabet="ab", max_size=9))
     def test_member_equals_unpruned_search(self, aut, word):
-        assert shortest_trace(aut, word) == unpruned_member(aut, word)
+        accepted, trace = shortest_trace(aut, word)
+        run = (trace.configs, trace.moves) if trace else (None, None)
+        assert (accepted, *run) == unpruned_member(aut, word)
 
     def test_machine_without_finals_rejects_without_searching(self):
         # One-state gll machine whose unpruned search grows exponentially:
@@ -370,6 +379,14 @@ def successor_calls(search, aut, word):
     return accepted, calls
 
 
+def assert_expands_each_live_configuration_once(aut, word):
+    """On a rejected word both searches expand every live reachable
+    configuration exactly once, however long they go without branching."""
+    live = {c for c in helpers.walk_configs(aut, word) if c.state in aut.live}
+    for search in (member, shortest_trace):
+        assert successor_calls(search, aut, word) == (False, len(live))
+
+
 def assert_depth_first_agrees(aut, word):
     accepted, trace = member(aut, word)
     shortest_accepted, shortest = shortest_trace(aut, word)
@@ -379,8 +396,7 @@ def assert_depth_first_agrees(aut, word):
         assert len(trace.moves) >= len(shortest.moves)
     else:
         assert trace is None
-        # both orders exhaust the same live configurations
-        assert successor_calls(member, aut, word) == successor_calls(shortest_trace, aut, word)
+        assert_expands_each_live_configuration_once(aut, word)
 
 
 class TestDepthFirstMember:
@@ -410,3 +426,58 @@ class TestDepthFirstMember:
         assert_replays(aut, word, trace)
         with pytest.raises(SearchLimitError):
             shortest_trace(aut, word, max_expansions=100)
+
+
+def balanced_word(rnd, pairs):
+    """A random word of ``pairs`` a's and as many b's in which no prefix has
+    more b's than a's."""
+    out, depth, opens = [], 0, pairs
+    while opens or depth:
+        if opens and (not depth or rnd.random() < 0.5):
+            out.append("a")
+            opens, depth = opens - 1, depth + 1
+        else:
+            out.append("b")
+            depth -= 1
+    return "".join(out)
+
+
+def peak_bytes(call):
+    """The result of ``call()`` and the peak of memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestSearchStorage:
+    """The search stores no configuration until it branches, keeps only the
+    moves of each run it follows, and replays a trace's configurations."""
+
+    def test_branches_that_reconverge_after_a_single_successor_stretch(self):
+        # p and r each have one successor; q deletes "a" or "aa", so its
+        # runs meet again, also on the branch point's own successors.
+        aut = make_automaton(
+            "grl", "ab", ["p", "r", "q"], "p", ["q"],
+            [("p", "b", "r"), ("r", "b", "q"), ("q", "a", "q"), ("q", "aa", "q")],
+        )
+        for word in ("bbaaaab", "bbaaaaaaab", "bbb"):
+            assert_expands_each_live_configuration_once(aut, word)
+        assert successor_calls(member, aut, "bbaaaaaaab") == (False, 10)
+
+    def test_member_memory_follows_the_moves_on_long_balanced_words(self):
+        aut = load_bundled("dyck-grl")
+        words = [
+            ("a" * 2000 + "b" * 2000, 3_000_000),
+            (balanced_word(random.Random(4000), 2000), 1_000_000),
+        ]
+        for word, bound in words:
+            (accepted, trace), peak = peak_bytes(lambda: member(aut, word))
+            assert accepted
+            assert peak < bound, (len(word), peak)
+            assert len(trace.configs) == len(trace.moves) + 1
+            assert_replays(aut, word, trace)
