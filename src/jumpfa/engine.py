@@ -58,11 +58,14 @@ from .core import (
 
 # Hard cap on search size; generously above anything a desk-scale input can
 # produce, since the configuration graph is acyclic.
-DEFAULT_MAX_EXPANSIONS = 1_000_000
+MAX_EXPANSIONS = 1_000_000
+# Hard cap on the number of words one bounded sweep visits.
+MAX_SWEEP_WORDS = 10_000_000
 
 
 class SearchLimitError(JumpfaError):
-    """The membership search exceeded its expansion budget."""
+    """A search exceeded :data:`MAX_EXPANSIONS`, or a sweep
+    :data:`MAX_SWEEP_WORDS`."""
 
 
 class Configuration(NamedTuple):
@@ -260,9 +263,7 @@ def naive_consume_successors(
     return out
 
 
-def member(
-    aut: Automaton, word: str, *, max_expansions: int = DEFAULT_MAX_EXPANSIONS
-) -> tuple[bool, Trace | None]:
+def member(aut: Automaton, word: str) -> tuple[bool, Trace | None]:
     """Decide membership; on acceptance also return an accepting run.
 
     Depth-first search over exact configurations: it always expands the
@@ -270,28 +271,25 @@ def member(
     discovers. On accepted words it usually expands far fewer configurations
     than :func:`shortest_trace`; the run it returns is reproducible but need
     not be a shortest one. On a rejected word both searches expand every live
-    reachable configuration once, so ``max_expansions`` gives up on exactly
-    the same rejected inputs.
+    reachable configuration once, so :data:`MAX_EXPANSIONS` gives up on
+    exactly the same rejected inputs.
     """
-    return _search(aut, word, max_expansions, deque.pop)
+    return _search(aut, word, deque.pop)
 
 
-def shortest_trace(
-    aut: Automaton, word: str, *, max_expansions: int = DEFAULT_MAX_EXPANSIONS
-) -> tuple[bool, Trace | None]:
+def shortest_trace(aut: Automaton, word: str) -> tuple[bool, Trace | None]:
     """Decide membership; on acceptance also return a shortest accepting run.
 
     Breadth-first search over exact configurations. Ties between equal-depth
     branches resolve in rule declaration order with the return jump last, so
     the returned trace is reproducible.
     """
-    return _search(aut, word, max_expansions, deque.popleft)
+    return _search(aut, word, deque.popleft)
 
 
 def _search(
     aut: Automaton,
     word: str,
-    max_expansions: int,
     take: Callable[[deque[tuple[Configuration, _Path]]], tuple[Configuration, _Path]],
 ) -> tuple[bool, Trace | None]:
     """The search behind :func:`member` and :func:`shortest_trace`; ``take``
@@ -301,7 +299,7 @@ def _search(
     expanded: none of them can lead to acceptance and all their successors
     are dead too, so the live configurations are discovered in the same order
     as by the unpruned search, and verdicts and traces are unchanged. Only the
-    expansion count that ``max_expansions`` bounds shrinks.
+    expansion count that :data:`MAX_EXPANSIONS` bounds shrinks.
 
     The search stores nothing until it branches. Each frontier entry carries
     the moves that reached it as a linked path, ``(move, parent_path)``, so no
@@ -319,15 +317,16 @@ def _search(
         return False, None
     if not start.left and not start.right and start.state in finals:
         return True, Trace(kind, start, ())
+    limit = MAX_EXPANSIONS
     seen: set[Configuration] | None = None
     frontier: deque[tuple[Configuration, _Path]] = deque(((start, None),))
     expansions = 0
     while frontier:
         config, path = take(frontier)
         expansions += 1
-        if expansions > max_expansions:
+        if expansions > limit:
             raise SearchLimitError(
-                f"gave up after {max_expansions} expansions on input of length {len(word)}"
+                f"gave up after {limit} expansions on input of length {len(word)}"
             )
         steps = _successors(kind, rules_from, config)
         if seen is None and len(steps) > 1:
@@ -370,7 +369,21 @@ def differences(
 ) -> list[tuple[str, bool, bool]]:
     """The bounded sweep: ``(word, first(word), second(word))`` for every word
     of length <= max_len, in :func:`iter_words` order, on which the two
-    verdicts differ. ``first`` is called before ``second`` on each word."""
+    verdicts differ. ``first`` is called before ``second`` on each word.
+
+    Raises :class:`SearchLimitError` before calling either when there are more
+    than :data:`MAX_SWEEP_WORDS` such words."""
+    cap, size = MAX_SWEEP_WORDS, len(alphabet)
+    # |Σ|^0 + ... + |Σ|^max_len, summed one length at a time only until it
+    # passes the cap; over one symbol it is max_len + 1 at once.
+    count, length = (max_len + 1, max_len) if size == 1 else (0, -1)
+    while count <= cap and length < max_len:
+        length += 1
+        count += size**length
+    if count > cap:
+        raise SearchLimitError(
+            f"gave up: {count} words up to length {length} exceed the sweep cap of {cap}"
+        )
     out = []
     for word in iter_words(alphabet, max_len):
         verdict = first(word)

@@ -33,9 +33,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
+from . import engine
 from .core import Automaton, Kind, Rule, check_word
 from .engine import (
-    DEFAULT_MAX_EXPANSIONS,
     SearchLimitError,
     differences,
     enabled_deletions,
@@ -103,13 +103,12 @@ def _machine_successors(
     return [(True, TapeConfig(state, _compact(cells, marks), 0, 0))]
 
 
-def lba_run(
-    aut: Automaton, word: str, *, max_expansions: int = DEFAULT_MAX_EXPANSIONS
-) -> tuple[bool, SpaceReport]:
+def lba_run(aut: Automaton, word: str) -> tuple[bool, SpaceReport]:
     """Decide membership on the marked tape and report resource use.
 
     A left-linear automaton runs as its right-linear reversal on the reversed
-    word, which has the same verdict and the same report.
+    word, which has the same verdict and the same report. The search shares the
+    engine's budget, :data:`jumpfa.engine.MAX_EXPANSIONS` machine steps.
     """
     check_word(aut, word)
     if aut.kind is Kind.LEFT:
@@ -121,6 +120,7 @@ def lba_run(
     if not start.cells and start.state in finals:
         return True, SpaceReport(max_cells, 0, 0)
 
+    limit = engine.MAX_EXPANSIONS
     worst_steps = worst_compactions = 0
     visited = {start}
     queue: deque[tuple[TapeConfig, int, int]] = deque(((start, 0, 0),))
@@ -128,9 +128,9 @@ def lba_run(
     while queue:
         config, depth, compactions = queue.popleft()
         expansions += 1
-        if expansions > max_expansions:
+        if expansions > limit:
             raise SearchLimitError(
-                f"gave up after {max_expansions} machine steps on input of length {len(word)}"
+                f"gave up after {limit} machine steps on input of length {len(word)}"
             )
         for compacted, nxt in _machine_successors(rules_from, config):
             if nxt in visited:

@@ -64,6 +64,27 @@ def automata(draw, kinds=(Kind.RIGHT, Kind.LEFT), alphabet="ab", max_states=4, m
     return make_automaton(kind, alphabet, states, draw(st.sampled_from(states)), finals, rules)
 
 
+@st.composite
+def reconverging_runs(draw):
+    """A machine and a word it rejects on which a live configuration is reached
+    by two routes. The start state is final and loops on ``x`` and ``xx``, so
+    deleting ``x`` twice and ``xx`` once meet; the word begins (``grl``) or
+    ends (``gll``) with ``xx``, where both fire, and holds a ``c`` that no rule
+    reads, so it is rejected."""
+    base = draw(automata())
+    x = draw(st.text(alphabet="ab", min_size=1, max_size=2))
+    loops = (x, x + x)
+    rules = [r for r in base.rules if not (r.src == base.start and r.word in loops)]
+    rules += [(base.start, w, base.start) for w in loops]
+    aut = make_automaton(
+        base.kind, "abc", base.states, base.start, (*base.finals, base.start), rules
+    )
+    rest = draw(st.text(alphabet="ab", max_size=5))
+    cut = draw(st.integers(0, len(rest)))
+    rest = rest[:cut] + "c" + rest[cut:]
+    return aut, (x + x + rest if aut.kind is Kind.RIGHT else rest + x + x)
+
+
 def walk_configs(aut: Automaton, word: str, seen: set | None = None) -> set[Configuration]:
     """Every configuration reachable from ``word``, skipping ones in ``seen``."""
     seen = set() if seen is None else seen

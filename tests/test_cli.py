@@ -1,5 +1,7 @@
 """Command-line behavior: verdict exit codes, deterministic output."""
 
+import time
+
 from jumpfa import cli
 from jumpfa.cli import run_cli
 from jumpfa.oracles import CORPUS_CLAIMS
@@ -174,6 +176,23 @@ class TestExamplesAndValidate:
         code, out, err = run(capsys, "enumerate", "dyck-grl", "--max-len", "-1")
         assert (code, out) == (2, "")
         assert "must not be negative" in err
+
+
+class TestSweepCap:
+    def test_oversized_sweeps_fail_at_once(self, capsys):
+        for argv in (
+            ["enumerate", "dyck-grl", "--max-len", "100000"],
+            ["compare", "dyck-grl", "--oracle", "dyck", "--max-len", "40"],
+            ["compare", "dyck-grl", "dyck-gll", "--max-len", "40"],
+        ):
+            started = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - started < 1
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: gave up: 16777215 words up to length 23 "
+                "exceed the sweep cap of 10000000\n"
+            )
 
 
 class TestSharedParser:

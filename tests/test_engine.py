@@ -212,13 +212,15 @@ class TestMember:
     def test_shortest_trace_empty_input_accepted_iff_start_final(self):
         assert_empty_input_accepted_iff_start_final(shortest_trace)
 
-    def test_search_limit_guard(self):
+    def test_search_limit_guard(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_EXPANSIONS", 2)
         with pytest.raises(SearchLimitError):
-            member(load_bundled("dyck-grl"), "aaabbb", max_expansions=2)
+            member(load_bundled("dyck-grl"), "aaabbb")
 
-    def test_shortest_trace_search_limit_guard(self):
+    def test_shortest_trace_search_limit_guard(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_EXPANSIONS", 2)
         with pytest.raises(SearchLimitError):
-            shortest_trace(load_bundled("dyck-grl"), "aaabbb", max_expansions=2)
+            shortest_trace(load_bundled("dyck-grl"), "aaabbb")
 
     def test_word_over_alphabet_required(self):
         with pytest.raises(SymbolOutsideAlphabetError):
@@ -235,6 +237,21 @@ class TestEnumerate:
     def test_no_finals_means_empty_language(self):
         aut = make_automaton("grl", "ab", ["q0"], "q0", [], [("q0", "a", "q0")])
         assert enumerate_language(aut, 4) == []
+
+    def test_sweep_of_exactly_the_cap_runs(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_SWEEP_WORDS", 7)  # words of length <= 2 over ab
+        dyck = load_bundled("dyck-grl")
+        assert enumerate_language(dyck, 2) == ["", "ab"]
+        with pytest.raises(SearchLimitError, match="^gave up: 15 words up to length 3 "):
+            enumerate_language(dyck, 3)
+
+    def test_oversized_sweep_decides_no_word(self):
+        calls = []
+        with pytest.raises(SearchLimitError, match="^gave up: 16777215 words up to length 23 "):
+            engine.differences("ab", 100_000, calls.append, calls.append)
+        with pytest.raises(SearchLimitError, match="^gave up: 1000000001 words "):
+            engine.differences("c", 10**9, calls.append, calls.append)
+        assert calls == []
 
     def test_word_order_is_length_then_lex(self):
         assert list(iter_words("ab", 2)) == ["", "a", "b", "aa", "ab", "ba", "bb"]
@@ -350,7 +367,7 @@ class TestDeadStatePruning:
         run = (trace.configs, trace.moves) if trace else (None, None)
         assert (accepted, *run) == unpruned_member(aut, word)
 
-    def test_machine_without_finals_rejects_without_searching(self):
+    def test_machine_without_finals_rejects_without_searching(self, monkeypatch):
         # One-state gll machine whose unpruned search grows exponentially:
         # thousands of configurations already at length 32.
         aut = make_automaton(
@@ -359,7 +376,8 @@ class TestDeadStatePruning:
         )
         rnd = random.Random(64)
         word = "".join(rnd.choice("ab") for _ in range(64))
-        assert member(aut, word, max_expansions=1) == (False, None)
+        monkeypatch.setattr(engine, "MAX_EXPANSIONS", 1)
+        assert member(aut, word) == (False, None)
 
 
 def successor_calls(search, aut, word):
@@ -404,9 +422,12 @@ class TestDepthFirstMember:
     reference it must agree with."""
 
     @settings(max_examples=300, deadline=None)
-    @given(helpers.automata(), st.text(alphabet="ab", max_size=9))
-    def test_agrees_with_shortest_trace(self, aut, word):
-        assert_depth_first_agrees(aut, word)
+    @given(
+        st.tuples(helpers.automata(), st.text(alphabet="ab", max_size=9))
+        | helpers.reconverging_runs()
+    )
+    def test_agrees_with_shortest_trace(self, run):
+        assert_depth_first_agrees(*run)
 
     def test_agrees_with_shortest_trace_on_the_corpus(self):
         for aut in helpers.corpus().values():
@@ -414,18 +435,19 @@ class TestDepthFirstMember:
             for word in iter_words(aut.alphabet, max_len):
                 assert_depth_first_agrees(aut, word)
 
-    def test_accepts_within_a_budget_the_breadth_first_search_exceeds(self):
+    def test_accepts_within_a_budget_the_breadth_first_search_exceeds(self, monkeypatch):
         aut = make_automaton(
             "gll", "ab", ["q0"], "q0", ["q0"],
             [("q0", w, "q0") for w in ("abb", "aaa", "ba", "aab", "bb", "ab")],
         )
         rnd = random.Random(40)
         word = "".join(rnd.choice("ab") for _ in range(40))
-        accepted, trace = member(aut, word, max_expansions=100)
+        monkeypatch.setattr(engine, "MAX_EXPANSIONS", 100)
+        accepted, trace = member(aut, word)
         assert accepted
         assert_replays(aut, word, trace)
         with pytest.raises(SearchLimitError):
-            shortest_trace(aut, word, max_expansions=100)
+            shortest_trace(aut, word)
 
 
 def balanced_word(rnd, pairs):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import helpers
-from jumpfa import lba
+from jumpfa import engine, lba
 from jumpfa.core import Kind
 from jumpfa.engine import (
     Configuration,
@@ -42,11 +42,12 @@ class TestRuns:
         accepted, report = lba_run(load_bundled("bmabbn-grl"), "")
         assert not accepted and report.compactions == 0
 
-    def test_left_linear_machine_runs_as_its_reversal(self):
+    def test_left_linear_machine_runs_as_its_reversal(self, monkeypatch):
         left = load_bundled("dyck-gll")
         assert lba_run(left, "aabb") == lba_run(load_bundled("dyck-grl"), "aabb")
+        monkeypatch.setattr(engine, "MAX_EXPANSIONS", 1)
         with pytest.raises(SearchLimitError):
-            lba_run(left, "aabb", max_expansions=1)
+            lba_run(left, "aabb")
 
     def test_stuck_machine_terminates(self):
         accepted, report = lba_run(load_bundled("dyck-grl"), "ba")
