@@ -69,8 +69,7 @@ def _cmd_member(args) -> int:
 def _cmd_trace(args) -> int:
     accepted, trace = shortest_trace(_load_automaton(args.file), args.word)
     if not accepted:
-        print("reject")
-        return 1
+        return _verdict(False)
     print(format_trace(trace))
     return 0
 

@@ -10,7 +10,8 @@ between threads; every other module builds on the guarantees enforced by
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 EMPTY_WORD = "<eps>"
@@ -90,9 +91,8 @@ class Automaton:
     ``alphabet``, ``states``, ``finals`` and ``rules`` keep declaration
     order, which fixes canonical serialization and enumeration order.
 
-    The search tables are derived from the rules once, when
-    :func:`make_automaton` builds the value, and take no part in
-    equality, hashing or printing:
+    The search tables are derived from the rules on first use and cached on
+    the value; they take no part in equality, hashing or printing:
 
     * ``rules_from`` maps each state to its rules in declaration order. Rule
       keys are unique per state, so their words are exactly the words
@@ -109,28 +109,23 @@ class Automaton:
     start: str
     finals: tuple[str, ...]
     rules: tuple[Rule, ...]
-    rules_from: Mapping[str, tuple[Rule, ...]] = field(
-        init=False, compare=False, hash=False, repr=False
-    )
-    live: frozenset[str] = field(init=False, compare=False, hash=False, repr=False)
 
-    def __post_init__(self) -> None:
-        rules_from = {q: tuple(r for r in self.rules if r.src == q) for q in self.states}
-        object.__setattr__(self, "rules_from", rules_from)
-        object.__setattr__(self, "live", _live_states(self.rules, self.finals))
+    @cached_property
+    def rules_from(self) -> Mapping[str, tuple[Rule, ...]]:
+        return {q: tuple(r for r in self.rules if r.src == q) for q in self.states}
 
-
-def _live_states(rules: Sequence[Rule], finals: Iterable[str]) -> frozenset[str]:
-    """States that reach a final state, by a backward fixpoint over the rules."""
-    live = set(finals)
-    grew = True
-    while grew:
-        grew = False
-        for rule in rules:
-            if rule.dst in live and rule.src not in live:
-                live.add(rule.src)
-                grew = True
-    return frozenset(live)
+    @cached_property
+    def live(self) -> frozenset[str]:
+        """States that reach a final state, by a backward fixpoint over the rules."""
+        live = set(self.finals)
+        grew = True
+        while grew:
+            grew = False
+            for rule in self.rules:
+                if rule.dst in live and rule.src not in live:
+                    live.add(rule.src)
+                    grew = True
+        return frozenset(live)
 
 
 def make_automaton(
@@ -149,7 +144,7 @@ def make_automaton(
     :func:`serialize_automaton` and :func:`parse_automaton` round-trip.
     """
     try:
-        kind = kind if isinstance(kind, Kind) else Kind(kind)
+        kind = Kind(kind)
     except ValueError:
         raise FormatError(
             f"kind must be one of {sorted(k.value for k in Kind)}, got {kind!r}"

@@ -59,13 +59,13 @@ from .core import (
 # Hard cap on search size; generously above anything a desk-scale input can
 # produce, since the configuration graph is acyclic.
 MAX_EXPANSIONS = 1_000_000
-# Hard cap on the number of words one bounded sweep visits.
-MAX_SWEEP_WORDS = 10_000_000
+# Hard cap on the input symbols of all the words one bounded sweep visits.
+MAX_SWEEP_SYMBOLS = 200_000_000
 
 
 class SearchLimitError(JumpfaError):
     """A search exceeded :data:`MAX_EXPANSIONS`, or a sweep
-    :data:`MAX_SWEEP_WORDS`."""
+    :data:`MAX_SWEEP_SYMBOLS`."""
 
 
 class Configuration(NamedTuple):
@@ -371,18 +371,18 @@ def differences(
     of length <= max_len, in :func:`iter_words` order, on which the two
     verdicts differ. ``first`` is called before ``second`` on each word.
 
-    Raises :class:`SearchLimitError` before calling either when there are more
-    than :data:`MAX_SWEEP_WORDS` such words."""
-    cap, size = MAX_SWEEP_WORDS, len(alphabet)
-    # |Σ|^0 + ... + |Σ|^max_len, summed one length at a time only until it
-    # passes the cap; over one symbol it is max_len + 1 at once.
-    count, length = (max_len + 1, max_len) if size == 1 else (0, -1)
-    while count <= cap and length < max_len:
+    Raises :class:`SearchLimitError` before calling either when those words
+    hold more than :data:`MAX_SWEEP_SYMBOLS` symbols in all."""
+    cap, size = MAX_SWEEP_SYMBOLS, len(alphabet)
+    # The words of length k hold k·|Σ|^k symbols; sum them one length at a time
+    # only until the sum passes the cap: within 20,000 lengths if |Σ| >= 1.
+    symbols = length = 0
+    while symbols <= cap and length < max_len:
         length += 1
-        count += size**length
-    if count > cap:
+        symbols += length * size**length
+    if symbols > cap:
         raise SearchLimitError(
-            f"gave up: {count} words up to length {length} exceed the sweep cap of {cap}"
+            f"gave up: {symbols} symbols up to length {length} exceed the sweep cap of {cap}"
         )
     out = []
     for word in iter_words(alphabet, max_len):

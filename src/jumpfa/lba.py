@@ -16,8 +16,9 @@ the number of marked runs, not the tape length; each run was marked by one
 macro-step, so that work is amortized into the steps.
 
 Nondeterministic rule choice is resolved by breadth-first search over machine
-configurations. The only possible repeat is the idle compaction of a stuck
-machine (nothing marked, head already leftmost), which the visited set cuts.
+configurations. The visited set cuts both kinds of repeat: branches that meet
+again (rules ``a`` and ``aa`` mark the same cells), and the idle compaction of
+a stuck machine (nothing marked, head leftmost, or an empty tape).
 
 Gap checking uses every word readable in the current state, through the
 engine's consume rule (:func:`jumpfa.engine.enabled_deletions`); checking only
@@ -84,8 +85,6 @@ def _machine_successors(
 ) -> list[tuple[bool, TapeConfig]]:
     """Macro-steps from ``config`` as (compacted, successor) pairs."""
     state, cells, marks, head = config
-    if not cells:
-        return []
     ahead = cells[head:]  # cells at or right of the head are never marked
     out: list[tuple[bool, TapeConfig]] = []
     for rule, pos in enabled_deletions(Kind.RIGHT, rules_from.get(state, ()), ahead):

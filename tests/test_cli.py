@@ -177,6 +177,13 @@ class TestExamplesAndValidate:
         assert (code, out) == (2, "")
         assert "must not be negative" in err
 
+    def test_non_integer_max_len_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "enumerate", "dyck-grl", "--max-len", "x")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            "jumpfa enumerate: error: argument --max-len: invalid int value: 'x'"
+        )
+
 
 class TestSweepCap:
     def test_oversized_sweeps_fail_at_once(self, capsys):
@@ -190,8 +197,22 @@ class TestSweepCap:
             assert time.perf_counter() - started < 1
             assert (code, out) == (2, "")
             assert err == (
-                "error: gave up: 16777215 words up to length 23 "
-                "exceed the sweep cap of 10000000\n"
+                "error: gave up: 369098754 symbols up to length 23 "
+                "exceed the sweep cap of 200000000\n"
+            )
+
+    def test_oversized_unary_sweeps_fail_at_once(self, capsys):
+        for argv in (
+            ["enumerate", "c-singleton", "--max-len", "100000"],
+            ["compare", "c-singleton", "--oracle", "c_singleton", "--max-len", "100000"],
+        ):
+            started = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - started < 1
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: gave up: 200010000 symbols up to length 20000 "
+                "exceed the sweep cap of 200000000\n"
             )
 
 

@@ -103,6 +103,11 @@ class TestValidate:
             make_automaton("grl", "", ["q"], "q", ["q"])
         assert codes(err.value) == {EMPTY_ALPHABET}
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(FormatError) as err:
+            make_automaton("xyz", "a", ["q0"], "q0")
+        assert str(err.value) == "kind must be one of ['gll', 'grl'], got 'xyz'"
+
     def test_empty_finals_allowed(self):
         aut = make_automaton("grl", "ab", ["q0"], "q0")
         assert aut.finals == ()
@@ -171,6 +176,8 @@ class TestParse:
             ("kind: grl\nalphabet: aa", "repeats a symbol"),
             ("kind: grl\nalphabet: ab\nstates: q0 q0", "declared twice"),
             ("kind: grl\nalphabet: ab\nstates: q0\nstart: q0 q1", "exactly one state"),
+            ("kind: grl\nalphabet: a\x01", "line 2: symbol '\\x01' is not printable non-blank ASCII"),
+            ("kind: grl\nalphabet: a\nstates: q0\nstart: q0\nfinal: q0 q0", "line 5: final state listed twice"),
         ],
     )
     def test_format_errors_carry_line_numbers(self, text, fragment):

@@ -191,6 +191,14 @@ class TestMember:
         aut = load_bundled("exrl-grl")
         assert shortest_trace(aut, "bab") == shortest_trace(aut, "bab")
 
+    def test_trace_repr_shows_configurations_and_moves(self):
+        _, trace = shortest_trace(load_bundled("exrl-grl"), "bb")
+        assert repr(trace) == (
+            "Trace(configs=(Configuration(left='', state='q0', right='bb'), "
+            "Configuration(left='', state='q1', right='')), "
+            "moves=(Consume(rule=Rule(src='q0', word='bb', dst='q1'), skip=''),))"
+        )
+
     def test_canonical_trace_for_a_loop_bb_machine(self):
         # a^l b a^m b a^n: delete the a's front to back (jumping each b),
         # wrap around, then delete the assembled bb.
@@ -239,19 +247,34 @@ class TestEnumerate:
         assert enumerate_language(aut, 4) == []
 
     def test_sweep_of_exactly_the_cap_runs(self, monkeypatch):
-        monkeypatch.setattr(engine, "MAX_SWEEP_WORDS", 7)  # words of length <= 2 over ab
+        monkeypatch.setattr(engine, "MAX_SWEEP_SYMBOLS", 10)  # words of length <= 2 over ab
         dyck = load_bundled("dyck-grl")
         assert enumerate_language(dyck, 2) == ["", "ab"]
-        with pytest.raises(SearchLimitError, match="^gave up: 15 words up to length 3 "):
+        with pytest.raises(SearchLimitError, match="^gave up: 34 symbols up to length 3 "):
             enumerate_language(dyck, 3)
 
     def test_oversized_sweep_decides_no_word(self):
         calls = []
-        with pytest.raises(SearchLimitError, match="^gave up: 16777215 words up to length 23 "):
+        with pytest.raises(SearchLimitError, match="^gave up: 369098754 symbols up to length 23 "):
             engine.differences("ab", 100_000, calls.append, calls.append)
-        with pytest.raises(SearchLimitError, match="^gave up: 1000000001 words "):
+        with pytest.raises(
+            SearchLimitError, match="^gave up: 200010000 symbols up to length 20000 "
+        ):
             engine.differences("c", 10**9, calls.append, calls.append)
         assert calls == []
+
+    @pytest.mark.parametrize("alphabet, longest", [("ab", 22), ("abc", 14), ("abcd", 11)])
+    def test_admitted_lengths_by_alphabet_size(self, alphabet, longest):
+        class Admitted(Exception):
+            pass
+
+        def first(word):
+            raise Admitted  # the sweep passed the cap and decides its first word
+
+        with pytest.raises(Admitted):
+            engine.differences(alphabet, longest, first, first)
+        with pytest.raises(SearchLimitError, match=f" up to length {longest + 1} "):
+            engine.differences(alphabet, longest + 1, first, first)
 
     def test_word_order_is_length_then_lex(self):
         assert list(iter_words("ab", 2)) == ["", "a", "b", "aa", "ab", "ba", "bb"]

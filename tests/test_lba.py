@@ -1,13 +1,14 @@
 """Marked-tape machine: verdicts, space accounting, engine correspondence."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 
 import helpers
 from jumpfa import engine, lba
-from jumpfa.core import Kind
+from jumpfa.core import Kind, make_automaton
 from jumpfa.engine import (
     Configuration,
     SearchLimitError,
@@ -53,6 +54,33 @@ class TestRuns:
         accepted, report = lba_run(load_bundled("dyck-grl"), "ba")
         assert not accepted
         assert report.steps == 0  # idle compaction is a fixed point, branch is cut
+
+    def test_each_reachable_configuration_is_expanded_once(self, monkeypatch):
+        """On ``aab``, rules ``a`` and ``aa`` reach ``('q', 'aab', 0b11, 2)`` by
+        two routes, and ``b`` empties the tape in the non-final state ``p``,
+        whose idle compaction returns its own configuration."""
+        aut = make_automaton(
+            "grl", "ab", ["q", "p"], "q", ["q"],
+            [("q", "a", "q"), ("q", "aa", "q"), ("q", "b", "p")],
+        )
+        words = ["aab", "aaab", "ab", "b", "ba", "abab"]
+        reachable = {
+            word: {parent for parent, _, _ in helpers.walk_tape_edges(aut, word)}
+            for word in words
+        }
+        assert {TapeConfig("q", "aab", 0b11, 2), TapeConfig("p", "", 0, 0)} <= reachable["aab"]
+        machine_successors = lba._machine_successors
+        expanded = Counter()
+
+        def counting(rules_from, config):
+            expanded[config] += 1
+            return machine_successors(rules_from, config)
+
+        monkeypatch.setattr(lba, "_machine_successors", counting)
+        for word in words:
+            expanded.clear()
+            assert not lba_run(aut, word)[0]
+            assert expanded == Counter(reachable[word]), word
 
     def test_long_balanced_word_report(self):
         """Values measured with the per-cell compaction; 2000 compactions."""

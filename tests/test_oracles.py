@@ -70,6 +70,15 @@ class TestCorpus:
             fields = (aut.kind, aut.alphabet, aut.states, aut.start, aut.finals, aut.rules)
             assert make_automaton(*fields) == aut, name
 
+    def test_unknown_bundled_name(self):
+        with pytest.raises(UnknownOracleError) as err:
+            load_bundled("nope")
+        assert str(err.value) == (
+            "no bundled automaton named 'nope'; known: example1-rowj, exrl-grl, "
+            "exrl-gll, bmabbn-grl, bmabbn-gll, nonrowj-grl, dyck-gll, dyck-grl, "
+            "dc-gll, cdyck-grl, c-singleton, astarbstar-dfa"
+        )
+
     def test_every_claim_names_a_registered_oracle(self):
         assert set(CORPUS_CLAIMS.values()) <= set(ORACLES)
 
