@@ -91,9 +91,11 @@ class Automaton:
     ``alphabet``, ``states``, ``finals`` and ``rules`` keep declaration
     order, which fixes canonical serialization and enumeration order.
 
-    The search tables are derived from the rules on first use and cached on
-    the value; they take no part in equality, hashing or printing:
+    The search tables are derived on first use and cached on the value; they
+    take no part in equality, hashing or printing:
 
+    * ``symbols`` holds the alphabet as a set, so that one set test checks
+      every symbol of an input word.
     * ``rules_from`` maps each state to its rules in declaration order. Rule
       keys are unique per state, so their words are exactly the words
       readable in that state.
@@ -109,6 +111,10 @@ class Automaton:
     start: str
     finals: tuple[str, ...]
     rules: tuple[Rule, ...]
+
+    @cached_property
+    def symbols(self) -> frozenset[str]:
+        return frozenset(self.alphabet)
 
     @cached_property
     def rules_from(self) -> Mapping[str, tuple[Rule, ...]]:
@@ -226,7 +232,7 @@ def check_word(aut: Automaton, word: str) -> None:
     """Raise unless every symbol of ``word`` belongs to the alphabet.
 
     One set test decides; the loop only names the first bad symbol."""
-    if set(word).issubset(aut.alphabet):
+    if aut.symbols.issuperset(word):
         return
     for ch in word:
         if ch not in aut.alphabet:

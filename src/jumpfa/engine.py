@@ -17,8 +17,8 @@ stopping at the first accepting run it finds. :func:`shortest_trace` runs the
 same search breadth-first, for a shortest run. Every consume strictly shrinks
 the input and returns never repeat, so the graph is acyclic and the search
 terminates. The search stores no configuration until it branches: while each
-expansion yields at most one successor the run cannot meet itself, so on a
-machine with one rule per state it keeps only the moves it has made. A
+expansion yields at most one live successor the run cannot meet itself, so
+on a machine with one rule per state it keeps only the moves it has made. A
 :class:`Trace` holds its start configuration and its moves, and replays its
 configurations from the moves when they are first read.
 
@@ -30,9 +30,11 @@ readable word occurs ahead. :func:`naive_consume_successors` spells out the
 literal side conditions instead and serves as the specification.
 
 The search prunes dead states, those from which no final state is reachable
-along the rules (``Automaton.live`` holds the others). Dead configurations
-only lead to dead ones, so dropping them changes neither verdicts nor the
-traces found. The marked-tape machine in :mod:`jumpfa.lba` does not
+along the rules (``Automaton.live`` holds the others). One step builds only
+the successors whose state is live; a deletion into a dead state is still
+found, since it blocks the return jump like any other. Dead configurations
+only lead to dead ones, so never building them changes neither verdicts nor
+the traces found. The marked-tape machine in :mod:`jumpfa.lba` does not
 prune: its space report describes the whole unpruned search, and it stays an
 independent check of this engine for both kinds, running a left-linear
 automaton as its right-linear reversal.
@@ -44,7 +46,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Container, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     EMPTY_WORD,
@@ -174,6 +176,9 @@ def enabled_deletions(kind: Kind, rules: Sequence[Rule], text: str) -> list[tupl
                 end = pos + len(rule.word)
                 if end < bound:
                     bound = end
+        # A lone occurrence sets the bound itself, so it always fires.
+        if len(hits) < 2:
+            return hits
         return [hit for hit in hits if hit[1] < bound]
     bound = 0
     for rule in rules:
@@ -182,36 +187,49 @@ def enabled_deletions(kind: Kind, rules: Sequence[Rule], text: str) -> list[tupl
             hits.append((rule, pos))
             if pos > bound:
                 bound = pos
+    if len(hits) < 2:
+        return hits
     return [hit for hit in hits if hit[1] + len(hit[0].word) > bound]
 
 
 def _successors(
-    kind: Kind, rules_from: Mapping[str, tuple[Rule, ...]], config: Configuration
+    kind: Kind,
+    rules_from: Mapping[str, tuple[Rule, ...]],
+    config: Configuration,
+    keep: Container[str],
 ) -> list[tuple[Move, Configuration]]:
+    """The successors of ``config`` whose state is in ``keep``, which holds
+    ``config.state``: a consume is built only when its rule enters ``keep``.
+    The return jump is offered only when no deletion is enabled at all, kept
+    or not."""
     left, state, right = config
     rules = rules_from.get(state, ())
     out: list[tuple[Move, Configuration]] = []
     if kind is Kind.RIGHT:
-        for rule, pos in enabled_deletions(kind, rules, right):
-            gap = right[:pos]
-            after = Configuration(left + gap, rule.dst, right[pos + len(rule.word):])
-            out.append((Consume(rule, gap), after))
-        if left and not out:
+        hits = enabled_deletions(kind, rules, right)
+        for rule, pos in hits:
+            if rule.dst in keep:
+                gap = right[:pos]
+                after = Configuration(left + gap, rule.dst, right[pos + len(rule.word):])
+                out.append((Consume(rule, gap), after))
+        if left and not hits:
             out.append((RETURN, Configuration("", state, left + right)))
     else:
         # Mirror image: scan the left buffer from its right end.
-        for rule, pos in enabled_deletions(kind, rules, left):
-            gap = left[pos + len(rule.word):]
-            after = Configuration(left[:pos], rule.dst, gap + right)
-            out.append((Consume(rule, gap), after))
-        if right and not out:
+        hits = enabled_deletions(kind, rules, left)
+        for rule, pos in hits:
+            if rule.dst in keep:
+                gap = left[pos + len(rule.word):]
+                after = Configuration(left[:pos], rule.dst, gap + right)
+                out.append((Consume(rule, gap), after))
+        if right and not hits:
             out.append((RETURN, Configuration(left + right, state, "")))
     return out
 
 
 def successors(aut: Automaton, config: Configuration) -> list[tuple[Move, Configuration]]:
     """Every one-step successor: deletions in rule order, then the return jump."""
-    return _successors(aut.kind, aut.rules_from, config)
+    return _successors(aut.kind, aut.rules_from, config, aut.states)
 
 
 def naive_consume_successors(
@@ -295,8 +313,9 @@ def _search(
     """The search behind :func:`member` and :func:`shortest_trace`; ``take``
     picks the next configuration to expand from the frontier.
 
-    Configurations whose state is not in ``aut.live`` are never stored or
-    expanded: none of them can lead to acceptance and all their successors
+    Configurations whose state is not in ``aut.live`` are never built, stored
+    or expanded: each step asks :func:`_successors` for the live successors
+    only. None of the others can lead to acceptance and all their successors
     are dead too, so the live configurations are discovered in the same order
     as by the unpruned search, and verdicts and traces are unchanged. Only the
     expansion count that :data:`MAX_EXPANSIONS` bounds shrinks.
@@ -304,12 +323,13 @@ def _search(
     The search stores nothing until it branches. Each frontier entry carries
     the moves that reached it as a linked path, ``(move, parent_path)``, so no
     configuration is kept once expanded. The graph is acyclic, so while every
-    expansion has yielded at most one successor (dead ones counted) the
-    configurations found form one path that cannot meet itself. The visited
-    set is created at the first expansion that yields two or more, and every
-    configuration discovered from then on goes into it; none found earlier can
-    be reached again, being an ancestor of all that follow. So every live
-    reachable configuration is still expanded exactly once.
+    expansion has yielded at most one live successor the live configurations
+    found form one path that cannot meet itself, and dead ones are never
+    stored. The visited set is created at the first expansion that yields two
+    or more live successors, and every configuration discovered from then on
+    goes into it; none found earlier can be reached again, being an ancestor
+    of all that follow. So every live reachable configuration is still
+    expanded exactly once.
     """
     start = initial_config(aut, word)
     finals, live, rules_from, kind = aut.finals, aut.live, aut.rules_from, aut.kind
@@ -328,12 +348,10 @@ def _search(
             raise SearchLimitError(
                 f"gave up after {limit} expansions on input of length {len(word)}"
             )
-        steps = _successors(kind, rules_from, config)
+        steps = _successors(kind, rules_from, config, live)
         if seen is None and len(steps) > 1:
             seen = set()
         for move, nxt in steps:
-            if nxt.state not in live:
-                continue
             if seen is not None:
                 if nxt in seen:
                     continue

@@ -5,7 +5,7 @@ import tracemalloc
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -26,6 +26,7 @@ from jumpfa.engine import (
     shortest_trace,
     successors,
 )
+from jumpfa.lba import lba_run
 from jumpfa.oracles import load_bundled
 
 
@@ -135,6 +136,15 @@ class TestSuccessors:
         aut = load_bundled("bmabbn-grl")
         steps = successors(aut, Configuration("", "q0", "babb"))
         assert [c for _, c in steps] == [Configuration("b", "q1", "b")]
+
+    @settings(max_examples=200, deadline=None)
+    @given(helpers.automata(), st.text(alphabet="ab", max_size=7))
+    def test_live_step_keeps_the_live_successors(self, aut, word):
+        for config in helpers.walk_configs(aut, word):
+            if config.state in aut.live:
+                kept = [s for s in successors(aut, config) if s[1].state in aut.live]
+                step = engine._successors(aut.kind, aut.rules_from, config, aut.live)
+                assert step == kept, config
 
 
 def assert_traces_replay(search):
@@ -382,13 +392,29 @@ def unpruned_member(aut, word):
     return False, None, None
 
 
+# On ``cab`` the head deletes ``a`` into q1 with ``c`` behind and ``b`` ahead.
+# There only the deletion of ``b`` into the dead state d is enabled, and it
+# blocks the return that would go on to accept through qf.
+DEAD_DELETION_BLOCKS_RETURN = make_automaton(
+    "grl", "abc", ["q0", "q1", "qf", "d"], "q0", ["qf"],
+    [("q0", "a", "q1"), ("q1", "b", "d"), ("q1", "c", "qf"), ("qf", "b", "qf")],
+)
+
+
 class TestDeadStatePruning:
     @settings(max_examples=400, deadline=None)
     @given(helpers.automata(), st.text(alphabet="ab", max_size=9))
+    @example(DEAD_DELETION_BLOCKS_RETURN, "cab")
     def test_member_equals_unpruned_search(self, aut, word):
         accepted, trace = shortest_trace(aut, word)
         run = (trace.configs, trace.moves) if trace else (None, None)
         assert (accepted, *run) == unpruned_member(aut, word)
+        assert member(aut, word)[0] == accepted
+
+    def test_a_dead_deletion_blocks_the_return(self):
+        aut = DEAD_DELETION_BLOCKS_RETURN
+        assert member(aut, "cab") == shortest_trace(aut, "cab") == (False, None)
+        assert not lba_run(aut, "cab")[0]
 
     def test_machine_without_finals_rejects_without_searching(self, monkeypatch):
         # One-state gll machine whose unpruned search grows exponentially:
