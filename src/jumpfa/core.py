@@ -2,17 +2,19 @@
 
 Symbols are single printable ASCII characters and words are plain ``str``
 values, so rule words and tape buffers can use ordinary string operations.
-An :class:`Automaton` is immutable once validated and may be shared freely
-between threads; every other module builds on the guarantees enforced by
-:func:`make_automaton`.
+The records (:class:`Violation`, :class:`Rule`, :class:`Automaton`) are
+named tuples, like the paper's tuples M = (Q, Σ, R, s, F) and rules
+(p, x, q): they unpack, and they compare equal to plain tuples with the same
+items. An :class:`Automaton` is immutable once validated and may be shared
+freely between threads; every other module builds on the guarantees enforced
+by :func:`make_automaton`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 EMPTY_WORD = "<eps>"
 
@@ -54,8 +56,7 @@ class FormatError(JumpfaError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     message: str
 
@@ -71,8 +72,7 @@ class ValidationError(JumpfaError):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """In state ``src``, delete ``word`` from the input and enter ``dst``.
 
     This orientation is used for both automaton kinds; the kind only decides
@@ -84,15 +84,24 @@ class Rule:
     dst: str
 
 
-@dataclass(frozen=True)
-class Automaton:
-    """A validated jumping automaton.
+class _AutomatonFields(NamedTuple):
+    kind: Kind
+    alphabet: tuple[str, ...]
+    states: tuple[str, ...]
+    start: str
+    finals: tuple[str, ...]
+    rules: tuple[Rule, ...]
+
+
+class Automaton(_AutomatonFields):
+    """A validated jumping automaton: ``(kind, alphabet, states, start,
+    finals, rules)``.
 
     ``alphabet``, ``states``, ``finals`` and ``rules`` keep declaration
     order, which fixes canonical serialization and enumeration order.
 
-    The search tables are derived on first use and cached on the value; they
-    take no part in equality, hashing or printing:
+    The search tables are derived on first use and cached on the value,
+    outside the tuple; they take no part in equality, hashing or printing:
 
     * ``symbols`` holds the alphabet as a set, so that one set test checks
       every symbol of an input word.
@@ -103,14 +112,12 @@ class Automaton:
       along the rules. No configuration in any other state can lead to
       acceptance, and every successor of such a configuration is again in a
       state outside ``live``.
+
+    Its fields are read-only, and no other attribute can be set either.
     """
 
-    kind: Kind
-    alphabet: tuple[str, ...]
-    states: tuple[str, ...]
-    start: str
-    finals: tuple[str, ...]
-    rules: tuple[Rule, ...]
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot set {name!r} on an immutable Automaton")
 
     @cached_property
     def symbols(self) -> frozenset[str]:
@@ -140,7 +147,7 @@ def make_automaton(
     states: Sequence[str],
     start: str | None,
     finals: Sequence[str] = (),
-    rules: Sequence[tuple[str, str, str] | Rule] = (),
+    rules: Sequence[tuple[str, str, str]] = (),
 ) -> Automaton:
     """Check every structural invariant and return the frozen automaton.
 
@@ -189,7 +196,7 @@ def make_automaton(
     checked: list[Rule] = []
     seen_keys: set[tuple[str, str]] = set()
     for entry in rules:
-        src, word, dst = (entry.src, entry.word, entry.dst) if isinstance(entry, Rule) else entry
+        src, word, dst = entry
         for q in (src, dst):
             if q not in known:
                 problems.append(Violation(UNKNOWN_STATE, f"rule state {q!r} is not declared"))

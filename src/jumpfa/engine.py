@@ -20,7 +20,9 @@ terminates. The search stores no configuration until it branches: while each
 expansion yields at most one live successor the run cannot meet itself, so
 on a machine with one rule per state it keeps only the moves it has made. A
 :class:`Trace` holds its start configuration and its moves, and replays its
-configurations from the moves when they are first read.
+configurations from the moves when they are first read. Configurations and
+moves are named tuples: a :class:`Consume` is ``(rule, skip)``, and a
+:class:`Return` has no fields.
 
 One consume rule decides every deletion of a step (:func:`enabled_deletions`):
 find the nearest occurrence of each rule word once; a rule fires iff its
@@ -43,7 +45,6 @@ automaton as its right-linear reversal.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from typing import Callable, Container, Iterator, Mapping, NamedTuple, Sequence
@@ -78,17 +79,17 @@ class Configuration(NamedTuple):
     right: str
 
 
-@dataclass(frozen=True)
-class Consume:
+class Consume(NamedTuple):
     """Application of ``rule`` after jumping over ``skip``."""
 
     rule: Rule
     skip: str
 
 
-@dataclass(frozen=True)
-class Return:
-    """The wrap-around jump back to the far end of the remaining input."""
+class Return(NamedTuple):
+    """The wrap-around jump back to the far end of the remaining input: a
+    record with no fields, so every instance equals :data:`RETURN` and, like
+    the empty tuple, is false. Tell moves apart with ``isinstance``."""
 
 
 RETURN = Return()
@@ -100,21 +101,36 @@ Move = Consume | Return
 _Path = tuple[Move, "_Path"] | None
 
 
-@dataclass(frozen=True)
 class Trace:
     """An accepting run: ``configs[0]`` is initial, ``moves[i]`` links
     ``configs[i]`` to ``configs[i + 1]``, and the last configuration is a
     bare final state.
 
-    Only the start configuration and the moves are stored. A consume's rule
-    and skip fix the configuration after it, and a return wraps by ``kind``,
-    so ``configs`` is replayed from the moves when it is first read, and
-    cached. Two traces are equal iff their configurations and moves are.
+    Only ``kind``, the start configuration and the moves are stored. A
+    consume's rule and skip fix the configuration after it, and a return
+    wraps by ``kind``, so ``configs`` is replayed from the moves when it is
+    first read, and cached outside the compared fields. Two traces are equal,
+    and hash alike, iff their start configurations and moves are; for traces
+    of one kind, that is iff their configurations and moves are. A trace is
+    immutable: setting or deleting an attribute raises :class:`AttributeError`.
     """
 
-    kind: Kind = field(compare=False)
-    start: Configuration
-    moves: tuple[Move, ...]
+    def __init__(self, kind: Kind, start: Configuration, moves: tuple[Move, ...]):
+        self.__dict__.update(kind=kind, start=start, moves=moves)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot set {name!r} on an immutable Trace")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r} from an immutable Trace")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.start == other.start and self.moves == other.moves
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.moves))
 
     @cached_property
     def configs(self) -> tuple[Configuration, ...]:

@@ -31,7 +31,6 @@ its verdicts stay an independent check of the pruned search.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from . import engine
@@ -54,8 +53,7 @@ class TapeConfig(NamedTuple):
     head: int
 
 
-@dataclass(frozen=True)
-class SpaceReport:
+class SpaceReport(NamedTuple):
     """Measured resource use of a run.
 
     ``max_cells_used`` counts tape cells including both end markers;

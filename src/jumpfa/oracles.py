@@ -8,9 +8,8 @@ scans) so they stay independent of the engine they are used to check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
-from typing import Callable
+import os
+from typing import Callable, NamedTuple
 
 from .core import Automaton, JumpfaError, SymbolOutsideAlphabetError, parse_automaton
 from .engine import differences, member
@@ -21,8 +20,7 @@ class UnknownOracleError(JumpfaError):
     pass
 
 
-@dataclass(frozen=True)
-class NamedPredicate:
+class NamedPredicate(NamedTuple):
     name: str
     alphabet: tuple[str, ...]
     fn: Callable[[str], bool]
@@ -147,7 +145,10 @@ def load_bundled(name: str) -> Automaton:
         raise UnknownOracleError(
             f"no bundled automaton named {name!r}; known: {', '.join(CORPUS_CLAIMS)}"
         )
-    text = resources.files(__package__).joinpath(f"corpus/{name}.jfa").read_text("utf-8")
+    # The corpus ships as plain package-data files next to this module.
+    path = os.path.join(os.path.dirname(__file__), "corpus", f"{name}.jfa")
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
     return parse_automaton(text)
 
 

@@ -1,15 +1,27 @@
-"""The package's public surface: the names it exports, and the README tour."""
+"""The package's public surface: the names it exports, what importing it
+loads, its immutable records, and the README tour."""
 
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import jumpfa
 from jumpfa import engine
 from jumpfa.cli import run_cli
+from jumpfa.core import Kind, Violation
+from jumpfa.engine import RETURN, Return, Trace
+from jumpfa.lba import SpaceReport
 
-README = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+ROOT = Path(__file__).parents[1]
+README = (ROOT / "README.md").read_text("utf-8")
+# Standard modules the package does not need and that are slow to import:
+# ``dataclasses`` alone pulls in ``inspect``, ``ast`` and ``dis``.
+HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "importlib.resources"}
 
 EXPORTS = {
     "Automaton",
@@ -45,6 +57,68 @@ def test_searches_take_an_automaton_and_a_word_only():
     for search in (jumpfa.member, jumpfa.shortest_trace, jumpfa.lba_run):
         assert list(inspect.signature(search).parameters) == ["aut", "word"]
     assert (engine.MAX_EXPANSIONS, engine.MAX_SWEEP_SYMBOLS) == (10**6, 2 * 10**8)
+
+
+def test_import_loads_no_heavy_standard_module():
+    # -S: without site, nothing it preloads can hide a module the import adds.
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import jumpfa; print(*sorted(set(sys.modules) - before))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(ROOT / "src")],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    added = set(out.split())
+    assert "jumpfa.core" in added
+    assert sorted(added & HEAVY_MODULES) == []
+
+
+def _shortest(name: str, word: str) -> tuple[jumpfa.Automaton, Trace]:
+    aut = jumpfa.load_bundled(name)
+    accepted, trace = jumpfa.shortest_trace(aut, word)
+    assert accepted
+    return aut, trace
+
+
+def test_records_refuse_assignment():
+    aut, trace = _shortest("exrl-grl", "bab")
+    consume = trace.moves[0]
+    aut.live  # a cached table, once computed, is no more writable than a field
+    for record, name in [
+        (Violation("code", "message"), "code"),
+        (aut.rules[0], "word"),
+        (consume, "skip"),
+        (SpaceReport(3, 1, 1), "steps"),
+        (aut, "kind"),
+        (aut, "rules"),
+        (aut, "live"),
+        (trace, "kind"),
+        (trace, "moves"),
+        (trace, "configs"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        del trace.start
+
+
+def test_records_are_tuples_and_return_is_one_value():
+    _, trace = _shortest("exrl-grl", "bb")
+    rule, skip = trace.moves[0]
+    src, word, dst = rule
+    assert rule == (src, word, dst) == ("q0", "bb", "q1") and skip == ""
+    assert RETURN == Return() and hash(RETURN) == hash(Return())
+    assert repr(RETURN) == "Return()"
+
+
+def test_traces_with_equal_start_and_moves_are_equal_and_hash_alike():
+    _, trace = _shortest("exrl-grl", "abab")
+    assert any(move == RETURN for move in trace.moves)
+    twin = Trace(Kind.RIGHT, trace.start, tuple(list(trace.moves)))
+    assert twin == trace and hash(twin) == hash(trace)
+    assert twin.configs == trace.configs
+    assert Trace(Kind.RIGHT, trace.start, trace.moves[:-1]) != trace
 
 
 def test_readme_library_tour_runs(capsys):
