@@ -5,20 +5,26 @@ reversal (:func:`jumpfa.transforms.reverse_automaton`) on the reversed word:
 reversal mirrors both the language and the step relation.
 
 The machine works on the input word between two end markers and never
-allocates beyond it. A deletion is performed in two stages: the cells of the
-consumed word are first marked in place, and marked cells are physically
-removed (the surviving cells shift left, markers pulled in) only when the
-head would run past the right marker or when nothing ahead of the head is
-readable. The second case also realizes the engine's wrap-around move: after
-compaction the head stands on the first surviving cell. Compaction copies
-each surviving stretch of cells with one slice, so its Python work follows
-the number of marked runs, not the tape length; each run was marked by one
-macro-step, so that work is amortized into the steps.
+allocates beyond it. A deletion is performed in two stages: each cell of the
+consumed word is first overwritten with the mark symbol :data:`MARK`, which
+no input symbol can be, and the marked cells are physically removed (the
+surviving cells shift left, markers pulled in) only when the head would run
+past the right marker or when nothing ahead of the head is readable. The
+second case also realizes the engine's wrap-around move: after compaction the
+head stands on the first surviving cell. Compaction is one ``str.replace``.
+
+Some cell is marked exactly when the head is not leftmost: a step that does
+not compact parks the head just past the word it marked, and the start and
+every compaction leave the head leftmost with nothing marked. A stuck tape
+with nothing marked therefore halts. Every move marks cells or removes marked
+ones, so the graph of tapes has no cycle.
 
 Nondeterministic rule choice is resolved by breadth-first search over machine
-configurations. The visited set cuts both kinds of repeat: branches that meet
-again (rules ``a`` and ``aa`` mark the same cells), and the idle compaction of
-a stuck machine (nothing marked, head leftmost, or an empty tape).
+configurations. As in the engine's search, nothing is stored until the run
+branches: a run that has not branched is one path, which cannot meet itself
+in an acyclic graph. The visited set is created at the first expansion with
+two or more successors and cuts branches that meet again (rules ``a`` and
+``aa`` mark the same cells).
 
 Gap checking uses every word readable in the current state, through the
 engine's consume rule (:func:`jumpfa.engine.enabled_deletions`); checking only
@@ -43,13 +49,16 @@ from .engine import (
 )
 from .transforms import reverse_automaton
 
+MARK = "#"  # a consumed cell awaiting compaction; never an input symbol
+
 
 class TapeConfig(NamedTuple):
-    """Machine configuration: tape between the end markers plus control."""
+    """Machine configuration: tape between the end markers plus control.
+
+    Marked cells lie left of ``head``; ``head`` is 0 iff none is marked."""
 
     state: str
     cells: str
-    marks: int  # bitmask over cells; bit i set = cells[i] marked for removal
     head: int
 
 
@@ -66,38 +75,24 @@ class SpaceReport(NamedTuple):
     steps: int
 
 
-def _compact(cells: str, marks: int) -> str:
-    """``cells`` with its marked cells removed, one slice per kept stretch."""
-    # bits[i] == "1" iff cells[i] is marked; the trailing "0" ends the last run
-    bits = format(marks, "b")[::-1] + "0"
-    kept, keep = [], 0
-    while (cut := bits.find("1", keep)) >= 0:
-        kept.append(cells[keep:cut])
-        keep = bits.find("0", cut)
-    kept.append(cells[keep:])
-    return "".join(kept)
-
-
 def _machine_successors(
     rules_from: Mapping[str, tuple[Rule, ...]], config: TapeConfig
-) -> list[tuple[bool, TapeConfig]]:
-    """Macro-steps from ``config`` as (compacted, successor) pairs."""
-    state, cells, marks, head = config
-    ahead = cells[head:]  # cells at or right of the head are never marked
-    out: list[tuple[bool, TapeConfig]] = []
-    for rule, pos in enabled_deletions(Kind.RIGHT, rules_from.get(state, ()), ahead):
+) -> list[TapeConfig]:
+    """Macro-steps from ``config``; a successor compacted iff its head is 0."""
+    state, cells, head = config
+    out: list[TapeConfig] = []
+    for rule, pos in enabled_deletions(Kind.RIGHT, rules_from.get(state, ()), cells[head:]):
         lo, hi = head + pos, head + pos + len(rule.word)
-        marked = marks | ((1 << (hi - lo)) - 1) << lo
         if hi < len(cells):
-            # Unread cells remain: park the head just past the marked word.
-            out.append((False, TapeConfig(rule.dst, cells, marked, hi)))
+            # Unread cells remain: mark the word, park the head just past it.
+            out.append(TapeConfig(rule.dst, cells[:lo] + MARK * (hi - lo) + cells[hi:], hi))
         else:
-            # The marked word touches the right marker: remove marked cells
-            # and restart the head at the left end of what survives.
-            out.append((True, TapeConfig(rule.dst, _compact(cells, marked), 0, 0)))
-    if out:
-        return out
-    return [(True, TapeConfig(state, _compact(cells, marks), 0, 0))]
+            # The word touches the right marker: remove it and every marked
+            # cell, and restart the head at the left end of what survives.
+            out.append(TapeConfig(rule.dst, cells[:lo].replace(MARK, ""), 0))
+    if not out and head:
+        out.append(TapeConfig(state, cells.replace(MARK, ""), 0))
+    return out
 
 
 def lba_run(aut: Automaton, word: str) -> tuple[bool, SpaceReport]:
@@ -112,14 +107,14 @@ def lba_run(aut: Automaton, word: str) -> tuple[bool, SpaceReport]:
         aut, word = reverse_automaton(aut), word[::-1]
     rules_from, finals = aut.rules_from, aut.finals
 
-    start = TapeConfig(aut.start, word, 0, 0)
+    start = TapeConfig(aut.start, word, 0)
     max_cells = len(word) + 2  # the initial tape is the high-water mark; it only shrinks
     if not start.cells and start.state in finals:
         return True, SpaceReport(max_cells, 0, 0)
 
     limit = engine.MAX_EXPANSIONS
     worst_steps = worst_compactions = 0
-    visited = {start}
+    visited: set[TapeConfig] | None = None
     queue: deque[tuple[TapeConfig, int, int]] = deque(((start, 0, 0),))
     expansions = 0
     while queue:
@@ -129,12 +124,16 @@ def lba_run(aut: Automaton, word: str) -> tuple[bool, SpaceReport]:
             raise SearchLimitError(
                 f"gave up after {limit} machine steps on input of length {len(word)}"
             )
-        for compacted, nxt in _machine_successors(rules_from, config):
-            if nxt in visited:
-                continue
-            visited.add(nxt)
+        steps = _machine_successors(rules_from, config)
+        if visited is None and len(steps) > 1:
+            visited = set()
+        for nxt in steps:
+            if visited is not None:
+                if nxt in visited:
+                    continue
+                visited.add(nxt)
             nxt_depth = depth + 1
-            nxt_compactions = compactions + compacted
+            nxt_compactions = compactions + (not nxt.head)
             worst_steps = max(worst_steps, nxt_depth)
             worst_compactions = max(worst_compactions, nxt_compactions)
             if not nxt.cells and nxt.state in finals:

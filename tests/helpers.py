@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import product
 
 from hypothesis import strategies as st
@@ -116,45 +117,33 @@ def walk_edges(aut: Automaton, word: str):
     return edges
 
 
-def compact_per_cell(cells: str, marks: int) -> str:
-    """Specification of ``lba._compact``: keep the unmarked cells, one by one."""
-    return "".join(ch for i, ch in enumerate(cells) if not marks >> i & 1)
-
-
-@st.composite
-def marked_tapes(draw, alphabet="abc", max_cells=64):
-    """A tape and a bitmask of marks over its cells (``marks < 2**len(cells)``):
-    either any mask, or runs of marks with short or long gaps between them,
-    so that many short runs, long kept stretches and marks on the last cell
-    each come up."""
-    cells = draw(st.text(alphabet=alphabet, max_size=max_cells))
-    if draw(st.booleans()):
-        return cells, draw(st.integers(0, (1 << len(cells)) - 1))
-    span = st.integers(1, 3) | st.integers(1, max(1, len(cells)))
-    marks, i = 0, 0
-    while i < len(cells):
-        gap, run = draw(st.just(0) | span), draw(span)
-        lo, hi = min(i + gap, len(cells)), min(i + gap + run, len(cells))
-        marks |= ((1 << (hi - lo)) - 1) << lo
-        i = hi
-    return cells, marks
-
-
 def walk_tape_edges(aut: Automaton, word: str):
     """Every (config, compacted, successor) edge of the marked-tape machine
     reachable from ``word``."""
     seen = set()
-    frontier = [TapeConfig(aut.start, word, 0, 0)]
+    frontier = [TapeConfig(aut.start, word, 0)]
     edges = []
     while frontier:
         config = frontier.pop()
         if config in seen:
             continue
         seen.add(config)
-        for compacted, nxt in _machine_successors(aut.rules_from, config):
-            edges.append((config, compacted, nxt))
+        for nxt in _machine_successors(aut.rules_from, config):
+            edges.append((config, not nxt.head, nxt))
             frontier.append(nxt)
     return edges
+
+
+def peak_bytes(call):
+    """The result of ``call()`` and the peak of memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def consume_steps(aut: Automaton, config: Configuration):

@@ -83,8 +83,13 @@ class TestLba:
 
     def test_reject(self, capsys):
         code, out, _ = run(capsys, "lba", "dyck-grl.jfa", "ba")
-        assert code == 1
-        assert out.startswith("reject\ncells=4")
+        assert (code, out) == (1, "reject\ncells=4 compactions=0 steps=0\n")
+
+    def test_branching_runs(self, capsys):
+        code, out, _ = run(capsys, "lba", "nonrowj-grl.jfa", "aabbab")
+        assert (code, out) == (0, "accept\ncells=8 compactions=2 steps=6\n")
+        code, out, _ = run(capsys, "lba", "nonrowj-grl.jfa", "aab")
+        assert (code, out) == (1, "reject\ncells=5 compactions=2 steps=3\n")
 
     def test_empty_word_token(self, capsys):
         code, out, _ = run(capsys, "lba", "dyck-grl.jfa", "<eps>")

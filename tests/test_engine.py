@@ -1,7 +1,6 @@
 """One-step semantics, membership search, and enumeration."""
 
 import random
-import tracemalloc
 from collections import deque
 
 import pytest
@@ -513,18 +512,6 @@ def balanced_word(rnd, pairs):
     return "".join(out)
 
 
-def peak_bytes(call):
-    """The result of ``call()`` and the peak of memory it allocated, in bytes."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 class TestSearchStorage:
     """The search stores no configuration until it branches, keeps only the
     moves of each run it follows, and replays a trace's configurations."""
@@ -547,7 +534,7 @@ class TestSearchStorage:
             (balanced_word(random.Random(4000), 2000), 1_000_000),
         ]
         for word, bound in words:
-            (accepted, trace), peak = peak_bytes(lambda: member(aut, word))
+            (accepted, trace), peak = helpers.peak_bytes(lambda: member(aut, word))
             assert accepted
             assert peak < bound, (len(word), peak)
             assert len(trace.configs) == len(trace.moves) + 1

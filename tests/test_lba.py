@@ -4,11 +4,10 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
 
 import helpers
 from jumpfa import engine, lba
-from jumpfa.core import Kind, make_automaton
+from jumpfa.core import INVALID_SYMBOL, Kind, ValidationError, make_automaton
 from jumpfa.engine import (
     Configuration,
     SearchLimitError,
@@ -17,14 +16,14 @@ from jumpfa.engine import (
     member,
     successors,
 )
-from jumpfa.lba import SpaceReport, TapeConfig, _compact, lba_equivalence, lba_run
+from jumpfa.lba import MARK, SpaceReport, TapeConfig, lba_equivalence, lba_run
 from jumpfa.oracles import load_bundled
 
 RIGHT_CORPUS = [name for name, aut in helpers.corpus().items() if aut.kind is Kind.RIGHT]
 
 
 def projection(config: TapeConfig) -> Configuration:
-    kept_left = helpers.compact_per_cell(config.cells[: config.head], config.marks)
+    kept_left = config.cells[: config.head].replace(MARK, "")
     return Configuration(kept_left, config.state, config.cells[config.head:])
 
 
@@ -53,22 +52,23 @@ class TestRuns:
     def test_stuck_machine_terminates(self):
         accepted, report = lba_run(load_bundled("dyck-grl"), "ba")
         assert not accepted
-        assert report.steps == 0  # idle compaction is a fixed point, branch is cut
+        assert report.steps == 0  # stuck with nothing marked: the tape halts
 
     def test_each_reachable_configuration_is_expanded_once(self, monkeypatch):
-        """On ``aab``, rules ``a`` and ``aa`` reach ``('q', 'aab', 0b11, 2)`` by
-        two routes, and ``b`` empties the tape in the non-final state ``p``,
-        whose idle compaction returns its own configuration."""
+        """On ``aab``, rules ``a`` and ``aa`` reach ``('q', '##b', 2)`` by two
+        routes, and ``b`` empties the tape in the non-final state ``p``, where
+        the run halts."""
         aut = make_automaton(
             "grl", "ab", ["q", "p"], "q", ["q"],
             [("q", "a", "q"), ("q", "aa", "q"), ("q", "b", "p")],
         )
         words = ["aab", "aaab", "ab", "b", "ba", "abab"]
         reachable = {
-            word: {parent for parent, _, _ in helpers.walk_tape_edges(aut, word)}
+            word: {TapeConfig(aut.start, word, 0)}
+            | {child for _, _, child in helpers.walk_tape_edges(aut, word)}
             for word in words
         }
-        assert {TapeConfig("q", "aab", 0b11, 2), TapeConfig("p", "", 0, 0)} <= reachable["aab"]
+        assert {TapeConfig("q", "##b", 2), TapeConfig("p", "", 0)} <= reachable["aab"]
         machine_successors = lba._machine_successors
         expanded = Counter()
 
@@ -83,30 +83,29 @@ class TestRuns:
             assert expanded == Counter(reachable[word]), word
 
     def test_long_balanced_word_report(self):
-        """Values measured with the per-cell compaction; 2000 compactions."""
+        """The reports were measured with a per-cell compaction, independent of
+        this one. The run never branches, so it stores no tape: its peak stays
+        within twice that of the engine's search on the same word."""
+        aut = load_bundled("dyck-grl")
         word = "a" * 2000 + "b" * 2000
-        assert lba_run(load_bundled("dyck-grl"), word) == (True, SpaceReport(4002, 2000, 3999))
+        assert lba_run(aut, word) == (True, SpaceReport(4002, 2000, 3999))
+        word = "a" * 4000 + "b" * 4000
+        result, peak = helpers.peak_bytes(lambda: lba_run(aut, word))
+        assert result == (True, SpaceReport(8002, 4000, 7999))
+        (accepted, _), member_peak = helpers.peak_bytes(lambda: member(aut, word))
+        assert accepted
+        assert peak <= 2 * member_peak, (peak, member_peak)
+
+    def test_stuck_unmarked_tape_has_no_move(self):
+        rules_from = load_bundled("dyck-grl").rules_from
+        assert lba._machine_successors(rules_from, TapeConfig("q0", "ba", 0)) == []
 
 
 class TestTapeInvariants:
-    def test_compaction_keeps_unmarked_cells_in_order(self):
-        assert _compact("abcd", 0b0110) == "ad"
-        assert _compact("abcd", 0) == "abcd"
-        assert _compact("ab", 0b11) == ""
-
-    @settings(max_examples=300, deadline=None)
-    @given(helpers.marked_tapes())
-    @example(("", 0))
-    @example(("abc", 0))
-    @example(("abc", 0b111))
-    @example(("abc", 0b100))
-    @example(("abc", 0b001))
-    @example(("abcdefgh", 0b10101010))
-    @example(("ab" * 500, int("01" * 500, 2)))
-    def test_compaction_equals_per_cell_reference(self, tape):
-        cells, marks = tape
-        assert marks < 1 << len(cells)
-        assert _compact(cells, marks) == helpers.compact_per_cell(cells, marks)
+    def test_mark_is_no_input_symbol(self):
+        with pytest.raises(ValidationError) as err:
+            make_automaton("grl", "a" + MARK, ["q"], "q", ["q"], [("q", "a", "q")])
+        assert {v.code for v in err.value.violations} == {INVALID_SYMBOL}
 
     @pytest.mark.parametrize("name", RIGHT_CORPUS)
     def test_cells_from_head_onward_are_unmarked(self, name):
@@ -114,7 +113,8 @@ class TestTapeInvariants:
         for word in iter_words(aut.alphabet, 5):
             for parent, _, child in helpers.walk_tape_edges(aut, word):
                 for config in (parent, child):
-                    assert config.marks >> config.head == 0, (word, config)
+                    assert MARK not in config.cells[config.head:], (word, config)
+                    assert (MARK in config.cells) == (config.head > 0), (word, config)
 
     @pytest.mark.parametrize("name", RIGHT_CORPUS)
     def test_space_bound(self, name):
@@ -134,7 +134,7 @@ class TestTapeInvariants:
             for parent, compacted, child in helpers.walk_tape_edges(aut, word):
                 before, after = projection(parent), projection(child)
                 if after == before:
-                    continue  # mark bookkeeping only, e.g. idle compaction shapes
+                    continue  # compaction of a tape marked all the way to the head
                 one_step = [nxt for _, nxt in successors(aut, before)]
                 if after in one_step:
                     continue
@@ -158,8 +158,8 @@ class TestEquivalence:
             assert lba_equivalence(aut, 5) == []
 
     def test_corrupted_machine_diverges_from_engine(self, monkeypatch):
-        # A machine that cannot compact when stuck loses every run that needs
-        # a wrap-around.
+        # A machine that refuses to compact a stuck tape with marked cells
+        # loses every run that needs a wrap-around.
         machine_successors = lba._machine_successors
 
         def never_compact_when_stuck(rules_from, config):
