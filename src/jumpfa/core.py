@@ -2,12 +2,13 @@
 
 Symbols are single printable ASCII characters and words are plain ``str``
 values, so rule words and tape buffers can use ordinary string operations.
-The records (:class:`Violation`, :class:`Rule`, :class:`Automaton`) are
-named tuples, like the paper's tuples M = (Q, Σ, R, s, F) and rules
-(p, x, q): they unpack, and they compare equal to plain tuples with the same
-items. An :class:`Automaton` is immutable once validated and may be shared
-freely between threads; every other module builds on the guarantees enforced
-by :func:`make_automaton`.
+The records (:class:`Violation`, :class:`Rule` and :class:`Automaton` here,
+and the configurations, moves and :class:`~jumpfa.engine.Trace` of
+:mod:`jumpfa.engine`) are named tuples, like the paper's tuples
+M = (Q, Σ, R, s, F) and rules (p, x, q): they unpack, and they compare equal
+to plain tuples with the same items. An :class:`Automaton` is immutable once
+validated and may be shared freely between threads; every other module builds
+on the guarantees enforced by :func:`make_automaton`.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ class Kind(enum.Enum):
 
 class JumpfaError(Exception):
     """Base class for every error raised by this package."""
-
-
-class UnknownStateError(JumpfaError):
-    pass
 
 
 class SymbolOutsideAlphabetError(JumpfaError):
@@ -222,17 +219,6 @@ def make_automaton(
     if problems:
         raise ValidationError(problems)
     return Automaton(kind, alphabet, states, start, finals, tuple(checked))
-
-
-def readable_words(aut: Automaton, state: str) -> frozenset[str]:
-    """The set of rule words the automaton can delete while in ``state``.
-
-    This set controls both which deletions are enabled and which text the
-    head may jump over: skipped text must not contain any of these words.
-    """
-    if state not in aut.states:
-        raise UnknownStateError(f"state {state!r} is not declared")
-    return frozenset(rule.word for rule in aut.rules if rule.src == state)
 
 
 def check_word(aut: Automaton, word: str) -> None:

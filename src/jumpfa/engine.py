@@ -20,9 +20,10 @@ terminates. The search stores no configuration until it branches: while each
 expansion yields at most one live successor the run cannot meet itself, so
 on a machine with one rule per state it keeps only the moves it has made. A
 :class:`Trace` holds its start configuration and its moves, and replays its
-configurations from the moves when they are first read. Configurations and
-moves are named tuples: a :class:`Consume` is ``(rule, skip)``, and a
-:class:`Return` has no fields.
+configurations from the moves when they are first read. Configurations,
+moves and traces are named tuples: a :class:`Consume` is ``(rule, skip)``, a
+:class:`Return` has no fields, and a :class:`Trace` is
+``(kind, start, moves)``.
 
 One consume rule decides every deletion of a step (:func:`enabled_deletions`):
 find the nearest occurrence of each rule word once; a rule fires iff its
@@ -56,7 +57,6 @@ from .core import (
     Kind,
     Rule,
     check_word,
-    readable_words,
 )
 
 # Hard cap on search size; generously above anything a desk-scale input can
@@ -101,36 +101,26 @@ Move = Consume | Return
 _Path = tuple[Move, "_Path"] | None
 
 
-class Trace:
-    """An accepting run: ``configs[0]`` is initial, ``moves[i]`` links
-    ``configs[i]`` to ``configs[i + 1]``, and the last configuration is a
-    bare final state.
+class _TraceFields(NamedTuple):
+    kind: Kind
+    start: Configuration
+    moves: tuple[Move, ...]
 
-    Only ``kind``, the start configuration and the moves are stored. A
-    consume's rule and skip fix the configuration after it, and a return
+
+class Trace(_TraceFields):
+    """An accepting run: ``(kind, start, moves)``. ``configs[0]`` is
+    initial, ``moves[i]`` links ``configs[i]`` to ``configs[i + 1]``, and the
+    last configuration is a bare final state.
+
+    A consume's rule and skip fix the configuration after it, and a return
     wraps by ``kind``, so ``configs`` is replayed from the moves when it is
-    first read, and cached outside the compared fields. Two traces are equal,
-    and hash alike, iff their start configurations and moves are; for traces
-    of one kind, that is iff their configurations and moves are. A trace is
-    immutable: setting or deleting an attribute raises :class:`AttributeError`.
+    first read, and cached on the value, outside the tuple. Like every other
+    record, a trace unpacks, compares and hashes as the tuple of its fields.
+    Its fields are read-only, and no other attribute can be set either.
     """
-
-    def __init__(self, kind: Kind, start: Configuration, moves: tuple[Move, ...]):
-        self.__dict__.update(kind=kind, start=start, moves=moves)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot set {name!r} on an immutable Trace")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {name!r} from an immutable Trace")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return self.start == other.start and self.moves == other.moves
-
-    def __hash__(self) -> int:
-        return hash((self.start, self.moves))
 
     @cached_property
     def configs(self) -> tuple[Configuration, ...]:
@@ -159,11 +149,6 @@ def initial_config(aut: Automaton, word: str) -> Configuration:
     if aut.kind is Kind.RIGHT:
         return Configuration("", aut.start, word)
     return Configuration(word, aut.start, "")
-
-
-def contains_factor(word: str, words: Sequence[str]) -> bool:
-    """True if any of ``words`` (all nonempty) occurs as a factor of ``word``."""
-    return any(w in word for w in words)
 
 
 def enabled_deletions(kind: Kind, rules: Sequence[Rule], text: str) -> list[tuple[Rule, int]]:
@@ -258,11 +243,11 @@ def naive_consume_successors(
     word must not also appear straddling the gap boundary (no nonempty gap
     suffix extends to the fired word with one of its own nonempty prefixes).
     The fast path above must agree with this on every configuration; the test
-    suite compares the two exhaustively. It reads the rules and the readable
-    words straight from ``aut.rules``, apart from the search tables.
+    suite compares the two exhaustively. It reads the rules, and so the
+    readable words, straight from ``aut.rules``, apart from the search tables.
     """
-    words = tuple(readable_words(aut, config.state))
     rules = [rule for rule in aut.rules if rule.src == config.state]
+    words = [rule.word for rule in rules]
     out: list[tuple[Move, Configuration]] = []
     if aut.kind is Kind.RIGHT:
         text = config.right
@@ -275,7 +260,7 @@ def naive_consume_successors(
                     gap[-k:] + x[: len(x) - k] == x
                     for k in range(1, min(len(gap), len(x) - 1) + 1)
                 )
-                if not contains_factor(gap, words) and not straddle:
+                if not any(w in gap for w in words) and not straddle:
                     after = Configuration(config.left + gap, rule.dst, rest)
                     out.append((Consume(rule, gap), after))
                 pos = text.find(x, pos + 1)
@@ -290,7 +275,7 @@ def naive_consume_successors(
                     x[k:] + gap[:k] == x
                     for k in range(1, min(len(gap), len(x) - 1) + 1)
                 )
-                if not contains_factor(gap, words) and not straddle:
+                if not any(w in gap for w in words) and not straddle:
                     after = Configuration(kept, rule.dst, gap + config.right)
                     out.append((Consume(rule, gap), after))
                 pos = text.find(x, pos + 1)

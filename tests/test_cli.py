@@ -53,6 +53,18 @@ class TestTrace:
         code, out, _ = run(capsys, "trace", "dyck-grl.jfa", "ba")
         assert (code, out) == (1, "reject\n")
 
+    def test_left_linear_trace(self, capsys):
+        assert run(capsys, "trace", "dc-gll.jfa", "abaabbc") == (
+            0,
+            "abaabbc | q0 | <eps>\n"
+            "abaabb | q1 | <eps>  -- consume(q0,c,q1 skip=<eps>)\n"
+            "aba | q1 | b  -- consume(q1,ab,q1 skip=b)\n"
+            "<eps> | q1 | ab  -- consume(q1,ab,q1 skip=a)\n"
+            "ab | q1 | <eps>  -- return\n"
+            "<eps> | q1 | <eps>  -- consume(q1,ab,q1 skip=<eps>)\n",
+            "",
+        )
+
 
 class TestEnumerate:
     def test_length_lex_with_eps(self, capsys):

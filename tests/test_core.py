@@ -1,4 +1,4 @@
-"""Validation, the rule-word index, and the automaton file format."""
+"""Validation, the search tables, and the automaton file format."""
 
 import pytest
 from hypothesis import strategies as st
@@ -17,11 +17,9 @@ from jumpfa.core import (
     FormatError,
     Kind,
     Rule,
-    UnknownStateError,
     ValidationError,
     make_automaton,
     parse_automaton,
-    readable_words,
     serialize_automaton,
 )
 from jumpfa.oracles import load_bundled
@@ -111,27 +109,6 @@ class TestValidate:
     def test_empty_finals_allowed(self):
         aut = make_automaton("grl", "ab", ["q0"], "q0")
         assert aut.finals == ()
-
-
-class TestReadableWords:
-    def test_a_loop_bb_automaton(self):
-        aut = load_bundled("exrl-grl")
-        assert readable_words(aut, "q0") == {"a", "bb"}
-        assert readable_words(aut, "q1") == frozenset()
-
-    def test_unit_rule_machine(self):
-        assert readable_words(example1(), "q2") == {"a"}
-
-    def test_unknown_state(self):
-        with pytest.raises(UnknownStateError):
-            readable_words(example1(), "nope")
-
-    def test_bounded_by_rule_count_and_nonempty(self):
-        for aut in helpers.corpus().values():
-            for q in aut.states:
-                words = readable_words(aut, q)
-                assert len(words) <= len(aut.rules)
-                assert all(words)
 
 
 class TestParse:

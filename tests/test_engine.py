@@ -16,7 +16,6 @@ from jumpfa.engine import (
     RETURN,
     Return,
     SearchLimitError,
-    contains_factor,
     enumerate_language,
     initial_config,
     iter_words,
@@ -50,13 +49,6 @@ class TestConfigurations:
         with pytest.raises(SymbolOutsideAlphabetError) as err:
             initial_config(load_bundled("dyck-grl"), "abyxb")
         assert str(err.value) == "symbol 'y' is not in the alphabet 'ab'"
-
-
-class TestPrimitives:
-    def test_contains_factor(self):
-        assert contains_factor("bb", ["a", "bb"])
-        assert not contains_factor("b", ["a", "bb"])
-        assert not contains_factor("", ["a", "bb"])
 
 
 class TestConsume:

@@ -14,7 +14,7 @@ import jumpfa
 from jumpfa import engine
 from jumpfa.cli import run_cli
 from jumpfa.core import Kind, Violation
-from jumpfa.engine import RETURN, Return, Trace
+from jumpfa.engine import RETURN, Configuration, Return, Trace
 from jumpfa.lba import SpaceReport
 
 ROOT = Path(__file__).parents[1]
@@ -112,13 +112,20 @@ def test_records_are_tuples_and_return_is_one_value():
     assert repr(RETURN) == "Return()"
 
 
-def test_traces_with_equal_start_and_moves_are_equal_and_hash_alike():
+def test_traces_unpack_compare_and_hash_as_their_fields():
     _, trace = _shortest("exrl-grl", "abab")
     assert any(move == RETURN for move in trace.moves)
+    kind, start, moves = trace
+    assert trace == (trace.kind, trace.start, trace.moves) == (kind, start, moves)
     twin = Trace(Kind.RIGHT, trace.start, tuple(list(trace.moves)))
     assert twin == trace and hash(twin) == hash(trace)
+    # The cached replay lives outside the tuple: reading it changes nothing.
     assert twin.configs == trace.configs
+    assert twin == trace == (kind, start, moves)
+    assert hash(twin) == hash(trace) == hash((kind, start, moves))
     assert Trace(Kind.RIGHT, trace.start, trace.moves[:-1]) != trace
+    empty = Configuration("", "q0", "")
+    assert Trace(Kind.RIGHT, empty, ()) != Trace(Kind.LEFT, empty, ())
 
 
 def test_readme_library_tour_runs(capsys):
