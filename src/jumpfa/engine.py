@@ -59,16 +59,16 @@ from .core import (
     check_word,
 )
 
-# Hard cap on search size; generously above anything a desk-scale input can
-# produce, since the configuration graph is acyclic.
-MAX_EXPANSIONS = 1_000_000
+# Cap on the symbols one search stores, text plus one per configuration kept:
+# 98x the most any bench input stores (203,938); no test stores over 684.
+MAX_STORED_SYMBOLS = 20_000_000
 # Hard cap on the input symbols of all the words one bounded sweep visits.
 MAX_SWEEP_SYMBOLS = 200_000_000
 
 
 class SearchLimitError(JumpfaError):
-    """A search exceeded :data:`MAX_EXPANSIONS`, or a sweep
-    :data:`MAX_SWEEP_SYMBOLS`."""
+    """A search stored more than :data:`MAX_STORED_SYMBOLS` input symbols, or
+    a sweep would visit more than :data:`MAX_SWEEP_SYMBOLS`."""
 
 
 class Configuration(NamedTuple):
@@ -289,9 +289,9 @@ def member(aut: Automaton, word: str) -> tuple[bool, Trace | None]:
     configuration discovered last and stops at the first accepting one it
     discovers. On accepted words it usually expands far fewer configurations
     than :func:`shortest_trace`; the run it returns is reproducible but need
-    not be a shortest one. On a rejected word both searches expand every live
-    reachable configuration once, so :data:`MAX_EXPANSIONS` gives up on
-    exactly the same rejected inputs.
+    not be a shortest one. On a rejected word both searches store the same
+    configurations, so :data:`MAX_STORED_SYMBOLS` gives up on exactly the same
+    rejected inputs.
     """
     return _search(aut, word, deque.pop)
 
@@ -319,7 +319,7 @@ def _search(
     only. None of the others can lead to acceptance and all their successors
     are dead too, so the live configurations are discovered in the same order
     as by the unpruned search, and verdicts and traces are unchanged. Only the
-    expansion count that :data:`MAX_EXPANSIONS` bounds shrinks.
+    store that :data:`MAX_STORED_SYMBOLS` bounds shrinks.
 
     The search stores nothing until it branches. Each frontier entry carries
     the moves that reached it as a linked path, ``(move, parent_path)``, so no
@@ -330,7 +330,9 @@ def _search(
     or more live successors, and every configuration discovered from then on
     goes into it; none found earlier can be reached again, being an ancestor
     of all that follow. So every live reachable configuration is still
-    expanded exactly once.
+    expanded exactly once. The budget charges only what enters the visited set,
+    its symbols plus one each: before it exists the run is one path of at most
+    2n + 1 moves, since each consume shrinks the input and no return follows one.
     """
     start = initial_config(aut, word)
     finals, live, rules_from, kind = aut.finals, aut.live, aut.rules_from, aut.kind
@@ -338,17 +340,11 @@ def _search(
         return False, None
     if not start.left and not start.right and start.state in finals:
         return True, Trace(kind, start, ())
-    limit = MAX_EXPANSIONS
+    limit = budget = MAX_STORED_SYMBOLS
     seen: set[Configuration] | None = None
     frontier: deque[tuple[Configuration, _Path]] = deque(((start, None),))
-    expansions = 0
     while frontier:
         config, path = take(frontier)
-        expansions += 1
-        if expansions > limit:
-            raise SearchLimitError(
-                f"gave up after {limit} expansions on input of length {len(word)}"
-            )
         steps = _successors(kind, rules_from, config, live)
         if seen is None and len(steps) > 1:
             seen = set()
@@ -357,6 +353,11 @@ def _search(
                 if nxt in seen:
                     continue
                 seen.add(nxt)
+                budget -= len(nxt.left) + len(nxt.right) + 1
+                if budget < 0:
+                    raise SearchLimitError(
+                        f"gave up after storing {limit} symbols on input of length {len(word)}"
+                    )
             if not nxt.left and not nxt.right and nxt.state in finals:
                 return True, Trace(kind, start, _moves((move, path)))
             frontier.append((nxt, (move, path)))

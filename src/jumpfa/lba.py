@@ -99,8 +99,8 @@ def lba_run(aut: Automaton, word: str) -> tuple[bool, SpaceReport]:
     """Decide membership on the marked tape and report resource use.
 
     A left-linear automaton runs as its right-linear reversal on the reversed
-    word, which has the same verdict and the same report. The search shares the
-    engine's budget, :data:`jumpfa.engine.MAX_EXPANSIONS` machine steps.
+    word, which has the same verdict and the same report. Each tape the search
+    stores charges its cells plus one to :data:`jumpfa.engine.MAX_STORED_SYMBOLS`.
     """
     check_word(aut, word)
     if aut.kind is Kind.LEFT:
@@ -112,18 +112,12 @@ def lba_run(aut: Automaton, word: str) -> tuple[bool, SpaceReport]:
     if not start.cells and start.state in finals:
         return True, SpaceReport(max_cells, 0, 0)
 
-    limit = engine.MAX_EXPANSIONS
+    limit = budget = engine.MAX_STORED_SYMBOLS
     worst_steps = worst_compactions = 0
     visited: set[TapeConfig] | None = None
     queue: deque[tuple[TapeConfig, int, int]] = deque(((start, 0, 0),))
-    expansions = 0
     while queue:
         config, depth, compactions = queue.popleft()
-        expansions += 1
-        if expansions > limit:
-            raise SearchLimitError(
-                f"gave up after {limit} machine steps on input of length {len(word)}"
-            )
         steps = _machine_successors(rules_from, config)
         if visited is None and len(steps) > 1:
             visited = set()
@@ -132,6 +126,11 @@ def lba_run(aut: Automaton, word: str) -> tuple[bool, SpaceReport]:
                 if nxt in visited:
                     continue
                 visited.add(nxt)
+                budget -= len(nxt.cells) + 1
+                if budget < 0:
+                    raise SearchLimitError(
+                        f"gave up after storing {limit} symbols on input of length {len(word)}"
+                    )
             nxt_depth = depth + 1
             nxt_compactions = compactions + (not nxt.head)
             worst_steps = max(worst_steps, nxt_depth)

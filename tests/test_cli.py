@@ -1,9 +1,12 @@
 """Command-line behavior: verdict exit codes, deterministic output."""
 
+import random
 import time
 
+import helpers
 from jumpfa import cli
 from jumpfa.cli import run_cli
+from jumpfa.core import make_automaton, serialize_automaton
 from jumpfa.oracles import CORPUS_CLAIMS
 
 
@@ -231,6 +234,30 @@ class TestSweepCap:
                 "error: gave up: 200010000 symbols up to length 20000 "
                 "exceed the sweep cap of 200000000\n"
             )
+
+
+class TestSearchBudget:
+    def test_branching_trace_gives_up_fast_and_small(self, capsys, tmp_path):
+        # One final state looping on six words: on a random 4000-letter word
+        # the breadth-first search meets exponentially many configurations.
+        aut = make_automaton(
+            "gll", "ab", ["q0"], "q0", ["q0"],
+            [("q0", w, "q0") for w in ("abb", "aaa", "ba", "aab", "bb", "ab")],
+        )
+        machine = tmp_path / "onestate.jfa"
+        machine.write_text(serialize_automaton(aut))
+        rnd = random.Random(1)
+        word = "".join(rnd.choice("ab") for _ in range(4000))
+        started = time.perf_counter()
+        code, peak = helpers.peak_bytes(lambda: run_cli(["trace", str(machine), word]))
+        assert time.perf_counter() - started < 3
+        assert peak < 64 * 2**20, peak
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "error: gave up after storing 20000000 symbols on input of length 4000\n"
+        )
+        assert run(capsys, "member", str(machine), word) == (0, "accept\n", "")
 
 
 class TestSharedParser:

@@ -24,7 +24,7 @@ from jumpfa.engine import (
     shortest_trace,
     successors,
 )
-from jumpfa.lba import lba_run
+from jumpfa.lba import SpaceReport, lba_run
 from jumpfa.oracles import load_bundled
 
 
@@ -157,6 +157,18 @@ def assert_replays(aut, word, trace):
         assert (move, trace.configs[i + 1]) in successors(aut, trace.configs[i])
 
 
+def assert_stores_ten_symbols_rejecting_aab(monkeypatch, search):
+    """Both searches store the same configurations on a rejected word, so they
+    give up on it under the same budgets."""
+    aut = load_bundled("nonrowj-grl")
+    monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", 9)
+    message = "^gave up after storing 9 symbols on input of length 3$"
+    with pytest.raises(SearchLimitError, match=message):
+        search(aut, "aab")
+    monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", 10)
+    assert search(aut, "aab") == (False, None)
+
+
 def assert_empty_input_accepted_iff_start_final(search):
     accepting_start = make_automaton("grl", "ab", ["q0"], "q0", ["q0"])
     accepted, trace = search(accepting_start, "")
@@ -222,14 +234,10 @@ class TestMember:
         assert_empty_input_accepted_iff_start_final(shortest_trace)
 
     def test_search_limit_guard(self, monkeypatch):
-        monkeypatch.setattr(engine, "MAX_EXPANSIONS", 2)
-        with pytest.raises(SearchLimitError):
-            member(load_bundled("dyck-grl"), "aaabbb")
+        assert_stores_ten_symbols_rejecting_aab(monkeypatch, member)
 
     def test_shortest_trace_search_limit_guard(self, monkeypatch):
-        monkeypatch.setattr(engine, "MAX_EXPANSIONS", 2)
-        with pytest.raises(SearchLimitError):
-            shortest_trace(load_bundled("dyck-grl"), "aaabbb")
+        assert_stores_ten_symbols_rejecting_aab(monkeypatch, shortest_trace)
 
     def test_word_over_alphabet_required(self):
         with pytest.raises(SymbolOutsideAlphabetError):
@@ -416,7 +424,7 @@ class TestDeadStatePruning:
         )
         rnd = random.Random(64)
         word = "".join(rnd.choice("ab") for _ in range(64))
-        monkeypatch.setattr(engine, "MAX_EXPANSIONS", 1)
+        monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", 0)
         assert member(aut, word) == (False, None)
 
 
@@ -482,7 +490,8 @@ class TestDepthFirstMember:
         )
         rnd = random.Random(40)
         word = "".join(rnd.choice("ab") for _ in range(40))
-        monkeypatch.setattr(engine, "MAX_EXPANSIONS", 100)
+        # member stores 960 symbols before it accepts.
+        monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", 2000)
         accepted, trace = member(aut, word)
         assert accepted
         assert_replays(aut, word, trace)
@@ -531,3 +540,13 @@ class TestSearchStorage:
             assert peak < bound, (len(word), peak)
             assert len(trace.configs) == len(trace.moves) + 1
             assert_replays(aut, word, trace)
+
+    def test_an_unbranched_run_stores_nothing(self, monkeypatch):
+        # No budget can stop a search before it branches: it stores nothing.
+        monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", 0)
+        word = "a" * 2000 + "b" * 2000
+        for name in ("dyck-grl", "dyck-gll"):
+            aut = load_bundled(name)
+            assert member(aut, word)[0]
+            assert shortest_trace(aut, word)[0]
+            assert lba_run(aut, word) == (True, SpaceReport(4002, 2000, 3999))

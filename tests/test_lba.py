@@ -18,6 +18,7 @@ from jumpfa.engine import (
 )
 from jumpfa.lba import MARK, SpaceReport, TapeConfig, lba_equivalence, lba_run
 from jumpfa.oracles import load_bundled
+from jumpfa.transforms import reverse_automaton
 
 RIGHT_CORPUS = [name for name, aut in helpers.corpus().items() if aut.kind is Kind.RIGHT]
 
@@ -45,9 +46,13 @@ class TestRuns:
     def test_left_linear_machine_runs_as_its_reversal(self, monkeypatch):
         left = load_bundled("dyck-gll")
         assert lba_run(left, "aabb") == lba_run(load_bundled("dyck-grl"), "aabb")
-        monkeypatch.setattr(engine, "MAX_EXPANSIONS", 1)
-        with pytest.raises(SearchLimitError):
-            lba_run(left, "aabb")
+        # The reversed run of nonrowj-grl on aab stores 13 symbols and rejects.
+        left = reverse_automaton(load_bundled("nonrowj-grl"))
+        monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", 12)
+        with pytest.raises(SearchLimitError, match="^gave up after storing 12 symbols"):
+            lba_run(left, "baa")
+        monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", 13)
+        assert lba_run(left, "baa") == (False, SpaceReport(5, 2, 3))
 
     def test_stuck_machine_terminates(self):
         accepted, report = lba_run(load_bundled("dyck-grl"), "ba")

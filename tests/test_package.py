@@ -56,7 +56,8 @@ def test_exports_exactly_the_documented_names():
 def test_searches_take_an_automaton_and_a_word_only():
     for search in (jumpfa.member, jumpfa.shortest_trace, jumpfa.lba_run):
         assert list(inspect.signature(search).parameters) == ["aut", "word"]
-    assert (engine.MAX_EXPANSIONS, engine.MAX_SWEEP_SYMBOLS) == (10**6, 2 * 10**8)
+    assert (engine.MAX_STORED_SYMBOLS, engine.MAX_SWEEP_SYMBOLS) == (2 * 10**7, 2 * 10**8)
+    assert not hasattr(engine, "MAX_EXPANSIONS")
 
 
 def test_import_loads_no_heavy_standard_module():
