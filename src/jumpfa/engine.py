@@ -21,8 +21,10 @@ expansion yields at most one live successor the run cannot meet itself, so
 on a machine with one rule per state it keeps only the moves it has made. A
 :class:`Trace` holds its start configuration and its moves, and replays its
 configurations from the moves when they are first read. Configurations,
-moves and traces are named tuples: a :class:`Consume` is ``(rule, skip)``, a
-:class:`Return` has no fields, and a :class:`Trace` is
+moves and traces are named tuples: a consume move is the
+:class:`~jumpfa.core.Rule` it applies, ``(src, word, dst)``, since a rule
+fires only at the nearest occurrence of its word; the return is
+:data:`RETURN`, a :class:`Return` with no fields; and a :class:`Trace` is
 ``(kind, start, moves)``.
 
 One consume rule decides every deletion of a step (:func:`enabled_deletions`):
@@ -79,13 +81,6 @@ class Configuration(NamedTuple):
     right: str
 
 
-class Consume(NamedTuple):
-    """Application of ``rule`` after jumping over ``skip``."""
-
-    rule: Rule
-    skip: str
-
-
 class Return(NamedTuple):
     """The wrap-around jump back to the far end of the remaining input: a
     record with no fields, so every instance equals :data:`RETURN` and, like
@@ -94,7 +89,7 @@ class Return(NamedTuple):
 
 RETURN = Return()
 
-Move = Consume | Return
+Move = Rule | Return
 
 # The moves that reached a configuration, last first: ``(move, parent_path)``,
 # with ``None`` at the start configuration.
@@ -112,11 +107,12 @@ class Trace(_TraceFields):
     initial, ``moves[i]`` links ``configs[i]`` to ``configs[i + 1]``, and the
     last configuration is a bare final state.
 
-    A consume's rule and skip fix the configuration after it, and a return
-    wraps by ``kind``, so ``configs`` is replayed from the moves when it is
-    first read, and cached on the value, outside the tuple. Like every other
-    record, a trace unpacks, compares and hashes as the tuple of its fields.
-    Its fields are read-only, and no other attribute can be set either.
+    A consume move is its rule, which can fire only at the nearest occurrence
+    of its word, and a return wraps by ``kind``, so ``configs`` is replayed
+    from the moves when it is first read, and cached on the value, outside
+    the tuple. Like every other record, a trace unpacks, compares and hashes
+    as the tuple of its fields. Its fields are read-only, and no other
+    attribute can be set either.
     """
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -131,11 +127,11 @@ class Trace(_TraceFields):
                 text = left + right
                 left, right = ("", text) if self.kind is Kind.RIGHT else (text, "")
             elif self.kind is Kind.RIGHT:
-                cut = len(move.skip) + len(move.rule.word)
-                left, state, right = left + move.skip, move.rule.dst, right[cut:]
+                pos = right.find(move.word)
+                left, state, right = left + right[:pos], move.dst, right[pos + len(move.word):]
             else:
-                cut = len(left) - len(move.skip) - len(move.rule.word)
-                left, state, right = left[:cut], move.rule.dst, move.skip + right
+                pos = left.rfind(move.word)
+                left, state, right = left[:pos], move.dst, left[pos + len(move.word):] + right
             configs.append(Configuration(left, state, right))
         return tuple(configs)
 
@@ -210,9 +206,8 @@ def _successors(
         hits = enabled_deletions(kind, rules, right)
         for rule, pos in hits:
             if rule.dst in keep:
-                gap = right[:pos]
-                after = Configuration(left + gap, rule.dst, right[pos + len(rule.word):])
-                out.append((Consume(rule, gap), after))
+                after = Configuration(left + right[:pos], rule.dst, right[pos + len(rule.word):])
+                out.append((rule, after))
         if left and not hits:
             out.append((RETURN, Configuration("", state, left + right)))
     else:
@@ -220,9 +215,8 @@ def _successors(
         hits = enabled_deletions(kind, rules, left)
         for rule, pos in hits:
             if rule.dst in keep:
-                gap = left[pos + len(rule.word):]
-                after = Configuration(left[:pos], rule.dst, gap + right)
-                out.append((Consume(rule, gap), after))
+                after = Configuration(left[:pos], rule.dst, left[pos + len(rule.word):] + right)
+                out.append((rule, after))
         if right and not hits:
             out.append((RETURN, Configuration(left + right, state, "")))
     return out
@@ -262,7 +256,7 @@ def naive_consume_successors(
                 )
                 if not any(w in gap for w in words) and not straddle:
                     after = Configuration(config.left + gap, rule.dst, rest)
-                    out.append((Consume(rule, gap), after))
+                    out.append((rule, after))
                 pos = text.find(x, pos + 1)
     else:
         text = config.left
@@ -277,7 +271,7 @@ def naive_consume_successors(
                 )
                 if not any(w in gap for w in words) and not straddle:
                     after = Configuration(kept, rule.dst, gap + config.right)
-                    out.append((Consume(rule, gap), after))
+                    out.append((rule, after))
                 pos = text.find(x, pos + 1)
     return out
 
@@ -425,17 +419,21 @@ def format_configuration(config: Configuration) -> str:
     return f"{left} | {config.state} | {right}"
 
 
-def format_move(move: Move) -> str:
-    if isinstance(move, Return):
-        return "return"
-    rule = move.rule
-    return f"consume({rule.src},{rule.word},{rule.dst} skip={move.skip or EMPTY_WORD})"
-
-
 def format_trace(trace: Trace) -> str:
     """One configuration per line; each produced configuration carries the
-    move that reached it as a suffix annotation."""
-    lines = [format_configuration(trace.configs[0])]
-    for move, config in zip(trace.moves, trace.configs[1:]):
-        lines.append(f"{format_configuration(config)}  -- {format_move(move)}")
+    move that reached it as a suffix annotation. A consume's skip is the text
+    its jump added to the buffer behind the head: the left one for ``grl``,
+    the right one for ``gll``."""
+    configs = trace.configs
+    lines = [format_configuration(configs[0])]
+    for move, before, after in zip(trace.moves, configs, configs[1:]):
+        if isinstance(move, Return):
+            note = "return"
+        else:
+            if trace.kind is Kind.RIGHT:
+                skip = after.left[len(before.left):]
+            else:
+                skip = after.right[: len(after.right) - len(before.right)]
+            note = f"consume({move.src},{move.word},{move.dst} skip={skip or EMPTY_WORD})"
+        lines.append(f"{format_configuration(after)}  -- {note}")
     return "\n".join(lines)

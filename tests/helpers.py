@@ -9,7 +9,7 @@ from itertools import product
 from hypothesis import strategies as st
 
 from jumpfa.core import Automaton, Kind, Rule, make_automaton
-from jumpfa.engine import Configuration, Consume, Return, initial_config, member, successors
+from jumpfa.engine import Configuration, Return, initial_config, member, successors
 from jumpfa.lba import TapeConfig, _machine_successors
 from jumpfa.oracles import CORPUS_CLAIMS, load_bundled
 
@@ -148,7 +148,7 @@ def peak_bytes(call):
 
 def consume_steps(aut: Automaton, config: Configuration):
     """The deletions among ``successors(aut, config)``, in rule order."""
-    return [step for step in successors(aut, config) if isinstance(step[0], Consume)]
+    return [step for step in successors(aut, config) if isinstance(step[0], Rule)]
 
 
 def return_step(aut: Automaton, config: Configuration):
@@ -162,8 +162,6 @@ def mirror_config(config: Configuration) -> Configuration:
 
 def mirror_step(step):
     move, config = step
-    if isinstance(move, Return):
-        return move, mirror_config(config)
-    rule = move.rule
-    mirrored = Consume(Rule(rule.src, rule.word[::-1], rule.dst), move.skip[::-1])
-    return mirrored, mirror_config(config)
+    if isinstance(move, Rule):
+        move = Rule(move.src, move.word[::-1], move.dst)
+    return move, mirror_config(config)

@@ -11,10 +11,11 @@ import random
 from contextlib import contextmanager
 
 import helpers
-from jumpfa.core import Kind
+from jumpfa.core import Kind, Rule
 from jumpfa.engine import (
-    Consume,
     RETURN,
+    Configuration,
+    Trace,
     enumerate_language,
     iter_words,
     member,
@@ -74,10 +75,12 @@ def test_criterion_03_one_a_machine_both_kinds_and_trace_shape():
             word = "b" * m + "ab" + "b" * n
             accepted, trace = member(aut, word)
             assert accepted, word
-            expected = [Consume(rule_ab, "b" * m)] + [Consume(rule_b, "")] * n
+            expected = [rule_ab] + [rule_b] * n
             if m:
-                expected += [RETURN] + [Consume(rule_b, "")] * m
+                expected += [RETURN] + [rule_b] * m
             assert list(trace.moves) == expected, word
+            # the first deletion jumps the leading b's
+            assert trace.configs[1] == Configuration("b" * m, "q1", "b" * n), word
 
 
 def test_criterion_04_branching_machine_language():
@@ -140,26 +143,31 @@ def test_criterion_09_marked_tape_machine_equivalence_and_space_bound():
 
 
 def test_criterion_10_structural_invariants_and_search_guard():
-    with criterion(10, "mutual exclusion + progress on 10,000 configs; search within 10^6"):
+    title = "mutual exclusion + progress + replay on 10,000 edges; search within the budget"
+    with criterion(10, title):
         rnd = random.Random(0xACE)
         checked = 0
         while checked < 10_000:
             aut = helpers.random_automaton(rnd)
             for _ in range(8):
                 word = "".join(rnd.choice("ab") for _ in range(rnd.randint(0, 8)))
-                assert member(aut, word) is not None  # default 10^6 expansion guard holds
+                # MAX_STORED_SYMBOLS holds, and a trace comes exactly with acceptance
+                accepted, trace = member(aut, word)
+                assert accepted == (trace is not None), (aut, word)
                 for config, move, nxt in helpers.walk_edges(aut, word):
                     ret = helpers.return_step(aut, config)
                     consumes = helpers.consume_steps(aut, config)
                     assert not (ret is not None and consumes), config
-                    if isinstance(move, Consume):
+                    if isinstance(move, Rule):
                         assert len(config.left + config.right) - len(nxt.left + nxt.right) == len(
-                            move.rule.word
+                            move.word
                         )
                     else:
                         assert sorted(nxt.left + nxt.right) == sorted(config.left + config.right)
                         assert "" in (nxt.left, nxt.right)
                         assert helpers.return_step(aut, nxt) is None  # returns never chain
+                    # a configuration and a move fix the next configuration
+                    assert Trace(aut.kind, config, (move,)).configs[1] == nxt, (config, move)
                     checked += 1
                 if checked >= 10_000:
                     break

@@ -56,6 +56,18 @@ class TestTrace:
         code, out, _ = run(capsys, "trace", "dyck-grl.jfa", "ba")
         assert (code, out) == (1, "reject\n")
 
+    def test_right_linear_trace(self, capsys):
+        # ab occurs twice ahead: the run deletes the nearer one
+        assert run(capsys, "trace", "dyck-grl.jfa", "aabbab") == (
+            0,
+            "<eps> | q0 | aabbab\n"
+            "a | q0 | bab  -- consume(q0,ab,q0 skip=a)\n"
+            "ab | q0 | <eps>  -- consume(q0,ab,q0 skip=b)\n"
+            "<eps> | q0 | ab  -- return\n"
+            "<eps> | q0 | <eps>  -- consume(q0,ab,q0 skip=<eps>)\n",
+            "",
+        )
+
     def test_left_linear_trace(self, capsys):
         assert run(capsys, "trace", "dc-gll.jfa", "abaabbc") == (
             0,

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jumpfa.core import SymbolOutsideAlphabetError, make_automaton
-from jumpfa.engine import Consume, iter_words
+from jumpfa.core import Rule, SymbolOutsideAlphabetError, make_automaton
+from jumpfa.engine import iter_words
 from jumpfa.oracles import (
     CORPUS_CLAIMS,
     ORACLES,
@@ -93,8 +93,8 @@ class TestCorpus:
     def test_complete_dfa_never_jumps(self):
         aut = load_bundled("astarbstar-dfa")
         for word in iter_words(aut.alphabet, 6):
-            for _, move, _ in helpers.walk_edges(aut, word):
-                assert isinstance(move, Consume) and move.skip == "", (word, move)
+            for config, move, nxt in helpers.walk_edges(aut, word):
+                assert isinstance(move, Rule) and nxt.left == config.left, (word, move)
 
     # Deeper bounds for the two entries the acceptance suite does not pin;
     # the rest get their full-depth certification there.

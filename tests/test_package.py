@@ -89,7 +89,7 @@ def test_records_refuse_assignment():
     for record, name in [
         (Violation("code", "message"), "code"),
         (aut.rules[0], "word"),
-        (consume, "skip"),
+        (consume, "dst"),
         (SpaceReport(3, 1, 1), "steps"),
         (aut, "kind"),
         (aut, "rules"),
@@ -105,10 +105,10 @@ def test_records_refuse_assignment():
 
 
 def test_records_are_tuples_and_return_is_one_value():
-    _, trace = _shortest("exrl-grl", "bb")
-    rule, skip = trace.moves[0]
-    src, word, dst = rule
-    assert rule == (src, word, dst) == ("q0", "bb", "q1") and skip == ""
+    aut, trace = _shortest("exrl-grl", "bb")
+    move = trace.moves[0]  # a consume move is the rule it applies
+    src, word, dst = move
+    assert move == (src, word, dst) == ("q0", "bb", "q1") and move in aut.rules
     assert RETURN == Return() and hash(RETURN) == hash(Return())
     assert repr(RETURN) == "Return()"
 
