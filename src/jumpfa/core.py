@@ -3,12 +3,13 @@
 Symbols are single printable ASCII characters and words are plain ``str``
 values, so rule words and tape buffers can use ordinary string operations.
 The records (:class:`Violation`, :class:`Rule` and :class:`Automaton` here,
-and the configurations, moves and :class:`~jumpfa.engine.Trace` of
+and the configurations and :class:`~jumpfa.engine.Trace` of
 :mod:`jumpfa.engine`) are named tuples, like the paper's tuples
 M = (Q, Σ, R, s, F) and rules (p, x, q): they unpack, and they compare equal
-to plain tuples with the same items. An :class:`Automaton` is immutable once
-validated and may be shared freely between threads; every other module builds
-on the guarantees enforced by :func:`make_automaton`.
+to plain tuples with the same items. A move of a trace is the :class:`Rule`
+it applies, or ``None`` for the return jump. An :class:`Automaton` is
+immutable once validated and may be shared freely between threads; every
+other module builds on the guarantees enforced by :func:`make_automaton`.
 """
 
 from __future__ import annotations

@@ -20,12 +20,11 @@ terminates. The search stores no configuration until it branches: while each
 expansion yields at most one live successor the run cannot meet itself, so
 on a machine with one rule per state it keeps only the moves it has made. A
 :class:`Trace` holds its start configuration and its moves, and replays its
-configurations from the moves when they are first read. Configurations,
-moves and traces are named tuples: a consume move is the
-:class:`~jumpfa.core.Rule` it applies, ``(src, word, dst)``, since a rule
-fires only at the nearest occurrence of its word; the return is
-:data:`RETURN`, a :class:`Return` with no fields; and a :class:`Trace` is
-``(kind, start, moves)``.
+configurations from the moves when they are first read. A move is the
+:class:`~jumpfa.core.Rule` a consume applies, ``(src, word, dst)``, since a
+rule fires only at the nearest occurrence of its word, or ``None`` for the
+return, which applies no rule. Configurations and traces are named tuples,
+and a :class:`Trace` is ``(kind, start, moves)``.
 
 One consume rule decides every deletion of a step (:func:`enabled_deletions`):
 find the nearest occurrence of each rule word once; a rule fires iff its
@@ -81,15 +80,8 @@ class Configuration(NamedTuple):
     right: str
 
 
-class Return(NamedTuple):
-    """The wrap-around jump back to the far end of the remaining input: a
-    record with no fields, so every instance equals :data:`RETURN` and, like
-    the empty tuple, is false. Tell moves apart with ``isinstance``."""
-
-
-RETURN = Return()
-
-Move = Rule | Return
+# A consume is the rule it applies; the return jump applies none.
+Move = Rule | None
 
 # The moves that reached a configuration, last first: ``(move, parent_path)``,
 # with ``None`` at the start configuration.
@@ -108,11 +100,13 @@ class Trace(_TraceFields):
     last configuration is a bare final state.
 
     A consume move is its rule, which can fire only at the nearest occurrence
-    of its word, and a return wraps by ``kind``, so ``configs`` is replayed
-    from the moves when it is first read, and cached on the value, outside
-    the tuple. Like every other record, a trace unpacks, compares and hashes
-    as the tuple of its fields. Its fields are read-only, and no other
-    attribute can be set either.
+    of its word, and a return is ``None`` and wraps by ``kind``, so
+    ``configs`` is replayed from the moves when it is first read, and cached
+    on the value, outside the tuple; it raises :class:`JumpfaError` on a
+    consume whose word does not occur ahead of the head. Like every other
+    record, a trace unpacks, compares, hashes and prints as the tuple of its
+    fields. Its fields are read-only, and no other attribute can be set
+    either.
     """
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -122,21 +116,23 @@ class Trace(_TraceFields):
     def configs(self) -> tuple[Configuration, ...]:
         left, state, right = self.start
         configs = [self.start]
-        for move in self.moves:
-            if isinstance(move, Return):
+        right_linear = self.kind is Kind.RIGHT
+        for index, move in enumerate(self.moves):
+            if move is None:
                 text = left + right
-                left, right = ("", text) if self.kind is Kind.RIGHT else (text, "")
-            elif self.kind is Kind.RIGHT:
-                pos = right.find(move.word)
-                left, state, right = left + right[:pos], move.dst, right[pos + len(move.word):]
+                left, right = ("", text) if right_linear else (text, "")
             else:
-                pos = left.rfind(move.word)
-                left, state, right = left[:pos], move.dst, left[pos + len(move.word):] + right
+                pos = right.find(move.word) if right_linear else left.rfind(move.word)
+                if pos < 0:
+                    raise JumpfaError(f"move {index}, {move}, finds no {move.word!r} ahead")
+                end = pos + len(move.word)
+                if right_linear:
+                    left, right = left + right[:pos], right[end:]
+                else:
+                    left, right = left[:pos], left[end:] + right
+                state = move.dst
             configs.append(Configuration(left, state, right))
         return tuple(configs)
-
-    def __repr__(self) -> str:
-        return f"Trace(configs={self.configs!r}, moves={self.moves!r})"
 
 
 def initial_config(aut: Automaton, word: str) -> Configuration:
@@ -209,7 +205,7 @@ def _successors(
                 after = Configuration(left + right[:pos], rule.dst, right[pos + len(rule.word):])
                 out.append((rule, after))
         if left and not hits:
-            out.append((RETURN, Configuration("", state, left + right)))
+            out.append((None, Configuration("", state, left + right)))
     else:
         # Mirror image: scan the left buffer from its right end.
         hits = enabled_deletions(kind, rules, left)
@@ -218,7 +214,7 @@ def _successors(
                 after = Configuration(left[:pos], rule.dst, left[pos + len(rule.word):] + right)
                 out.append((rule, after))
         if right and not hits:
-            out.append((RETURN, Configuration(left + right, state, "")))
+            out.append((None, Configuration(left + right, state, "")))
     return out
 
 
@@ -427,7 +423,7 @@ def format_trace(trace: Trace) -> str:
     configs = trace.configs
     lines = [format_configuration(configs[0])]
     for move, before, after in zip(trace.moves, configs, configs[1:]):
-        if isinstance(move, Return):
+        if move is None:
             note = "return"
         else:
             if trace.kind is Kind.RIGHT:

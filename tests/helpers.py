@@ -9,7 +9,7 @@ from itertools import product
 from hypothesis import strategies as st
 
 from jumpfa.core import Automaton, Kind, Rule, make_automaton
-from jumpfa.engine import Configuration, Return, initial_config, member, successors
+from jumpfa.engine import Configuration, initial_config, member, successors
 from jumpfa.lba import TapeConfig, _machine_successors
 from jumpfa.oracles import CORPUS_CLAIMS, load_bundled
 
@@ -153,7 +153,7 @@ def consume_steps(aut: Automaton, config: Configuration):
 
 def return_step(aut: Automaton, config: Configuration):
     """The return move among ``successors(aut, config)``, or None."""
-    return next((step for step in successors(aut, config) if isinstance(step[0], Return)), None)
+    return next((step for step in successors(aut, config) if step[0] is None), None)
 
 
 def mirror_config(config: Configuration) -> Configuration:

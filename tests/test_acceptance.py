@@ -13,7 +13,6 @@ from contextlib import contextmanager
 import helpers
 from jumpfa.core import Kind, Rule
 from jumpfa.engine import (
-    RETURN,
     Configuration,
     Trace,
     enumerate_language,
@@ -77,7 +76,7 @@ def test_criterion_03_one_a_machine_both_kinds_and_trace_shape():
             assert accepted, word
             expected = [rule_ab] + [rule_b] * n
             if m:
-                expected += [RETURN] + [rule_b] * m
+                expected += [None] + [rule_b] * m
             assert list(trace.moves) == expected, word
             # the first deletion jumps the leading b's
             assert trace.configs[1] == Configuration("b" * m, "q1", "b" * n), word

@@ -1,6 +1,7 @@
 """One-step semantics, membership search, and enumeration."""
 
 import random
+import re
 from collections import deque
 
 import pytest
@@ -9,12 +10,11 @@ from hypothesis import strategies as st
 
 import helpers
 from jumpfa import engine
-from jumpfa.core import SymbolOutsideAlphabetError, make_automaton
+from jumpfa.core import JumpfaError, Kind, Rule, SymbolOutsideAlphabetError, make_automaton
 from jumpfa.engine import (
     Configuration,
-    RETURN,
-    Return,
     SearchLimitError,
+    Trace,
     enumerate_language,
     initial_config,
     iter_words,
@@ -92,7 +92,7 @@ class TestReturn:
     def test_wraps_when_nothing_ahead_is_readable(self):
         aut = load_bundled("exrl-grl")
         move, after = helpers.return_step(aut, Configuration("bb", "q0", ""))
-        assert move == RETURN
+        assert move is None
         assert after == Configuration("", "q0", "bb")
 
     def test_requires_nonempty_jumped_text(self):
@@ -116,7 +116,7 @@ class TestSuccessors:
     def test_return_is_sole_successor_when_present(self):
         aut = load_bundled("exrl-grl")
         steps = successors(aut, Configuration("bb", "q0", ""))
-        assert steps == [(RETURN, Configuration("", "q0", "bb"))]
+        assert steps == [(None, Configuration("", "q0", "bb"))]
 
     def test_accepting_configuration_has_no_successors(self):
         aut = load_bundled("dyck-grl")
@@ -203,13 +203,22 @@ class TestMember:
         aut = load_bundled("exrl-grl")
         assert shortest_trace(aut, "bab") == shortest_trace(aut, "bab")
 
-    def test_trace_repr_shows_configurations_and_moves(self):
+    def test_trace_repr_is_its_fields(self):
         _, trace = shortest_trace(load_bundled("exrl-grl"), "bb")
         assert repr(trace) == (
-            "Trace(configs=(Configuration(left='', state='q0', right='bb'), "
-            "Configuration(left='', state='q1', right='')), "
+            "Trace(kind=<Kind.RIGHT: 'grl'>, "
+            "start=Configuration(left='', state='q0', right='bb'), "
             "moves=(Rule(src='q0', word='bb', dst='q1'),))"
         )
+
+    @pytest.mark.parametrize("trace", [
+        Trace(Kind.RIGHT, Configuration("", "q0", "b"), (Rule("q0", "a", "q1"),)),
+        Trace(Kind.LEFT, Configuration("ab", "q0", ""), (Rule("q0", "c", "q1"),)),
+    ])
+    def test_replay_refuses_a_move_whose_word_is_not_ahead(self, trace):
+        rule = trace.moves[0]
+        with pytest.raises(JumpfaError, match=f"^move 0, {re.escape(repr(rule))}, finds no"):
+            trace.configs
 
     def test_canonical_trace_for_a_loop_bb_machine(self):
         # a^l b a^m b a^n: delete the a's front to back (jumping each b),
@@ -217,7 +226,7 @@ class TestMember:
         aut = load_bundled("exrl-grl")
         rule_a, rule_bb = aut.rules
         _, trace = shortest_trace(aut, "abaaba")
-        assert list(trace.moves) == [rule_a, rule_a, rule_a, rule_a, RETURN, rule_bb]
+        assert list(trace.moves) == [rule_a, rule_a, rule_a, rule_a, None, rule_bb]
         # the left buffer grows by each skipped b
         assert [c.left for c in trace.configs] == ["", "", "b", "b", "bb", "", ""]
 
@@ -338,7 +347,7 @@ class TestInvariants:
     @given(helpers.automata(), st.text(alphabet="ab", max_size=7))
     def test_mutual_exclusion_and_progress(self, aut, word):
         for config, move, nxt in helpers.walk_edges(aut, word):
-            if isinstance(move, Return):
+            if move is None:
                 assert helpers.consume_steps(aut, config) == []
                 # one buffer empties, the symbols survive as a block
                 assert nxt.left + nxt.right in (config.left + config.right, config.right + config.left)
@@ -536,6 +545,7 @@ class TestSearchStorage:
                 (accepted, trace), peak = helpers.peak_bytes(lambda: member(aut, word))
                 assert accepted
                 assert peak < 200 * len(word), (name, len(word), peak)
+                assert len(repr(trace)) < 64 * len(word), (name, len(word))
                 assert len(trace.configs) == len(trace.moves) + 1
                 assert_replays(aut, word, trace)
 

@@ -14,7 +14,7 @@ import jumpfa
 from jumpfa import engine
 from jumpfa.cli import run_cli
 from jumpfa.core import Kind, Violation
-from jumpfa.engine import RETURN, Configuration, Return, Trace
+from jumpfa.engine import Configuration, Trace
 from jumpfa.lba import SpaceReport
 
 ROOT = Path(__file__).parents[1]
@@ -109,13 +109,13 @@ def test_records_are_tuples_and_return_is_one_value():
     move = trace.moves[0]  # a consume move is the rule it applies
     src, word, dst = move
     assert move == (src, word, dst) == ("q0", "bb", "q1") and move in aut.rules
-    assert RETURN == Return() and hash(RETURN) == hash(Return())
-    assert repr(RETURN) == "Return()"
+    _, wrapped = _shortest("exrl-grl", "abab")  # the return applies no rule
+    assert [m for m in wrapped.moves if m not in aut.rules] == [None]
 
 
 def test_traces_unpack_compare_and_hash_as_their_fields():
     _, trace = _shortest("exrl-grl", "abab")
-    assert any(move == RETURN for move in trace.moves)
+    assert None in trace.moves
     kind, start, moves = trace
     assert trace == (trace.kind, trace.start, trace.moves) == (kind, start, moves)
     twin = Trace(Kind.RIGHT, trace.start, tuple(list(trace.moves)))
