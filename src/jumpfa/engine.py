@@ -46,9 +46,11 @@ automaton as its right-linear reversal.
 
 from __future__ import annotations
 
+import os
+import sys
 from collections import deque
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Container, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -65,6 +67,9 @@ from .core import (
 MAX_STORED_SYMBOLS = 20_000_000
 # Hard cap on the input symbols of all the words one bounded sweep visits.
 MAX_SWEEP_SYMBOLS = 200_000_000
+# Fewest words per process worth a fork: a sweep of the 265,720 words of length
+# <= 11 over three letters splits, one of the 29,524 of length <= 9 does not.
+SHARE_WORDS = 2**14
 
 
 class SearchLimitError(JumpfaError):
@@ -102,8 +107,13 @@ class Trace(_TraceFields):
     A consume move is its rule, which can fire only at the nearest occurrence
     of its word, and a return is ``None`` and wraps by ``kind``, so
     ``configs`` is replayed from the moves when it is first read, and cached
-    on the value, outside the tuple; it raises :class:`JumpfaError` on a
-    consume whose word does not occur ahead of the head. Like every other
+    on the value, outside the tuple. The replay raises :class:`JumpfaError`
+    on a consume whose rule does not leave the current state or whose word
+    does not occur ahead of the head, and on a return with no text jumped over
+    to wrap (an empty left buffer for ``grl``, right one for ``gll``). A trace
+    carries no automaton, so the replay cannot check that a move was enabled:
+    that no nearer readable word blocked a consume, or that nothing readable
+    lay ahead of a return, or that the last state is final. Like every other
     record, a trace unpacks, compares, hashes and prints as the tuple of its
     fields. Its fields are read-only, and no other attribute can be set
     either.
@@ -119,9 +129,13 @@ class Trace(_TraceFields):
         right_linear = self.kind is Kind.RIGHT
         for index, move in enumerate(self.moves):
             if move is None:
+                if not (left if right_linear else right):
+                    raise JumpfaError(f"move {index}, a return, has no text jumped over to wrap")
                 text = left + right
                 left, right = ("", text) if right_linear else (text, "")
             else:
+                if move.src != state:
+                    raise JumpfaError(f"move {index}, {move}, does not leave state {state!r}")
                 pos = right.find(move.word) if right_linear else left.rfind(move.word)
                 if pos < 0:
                     raise JumpfaError(f"move {index}, {move}, finds no {move.word!r} ahead")
@@ -382,25 +396,62 @@ def differences(
     verdicts differ. ``first`` is called before ``second`` on each word.
 
     Raises :class:`SearchLimitError` before calling either when those words
-    hold more than :data:`MAX_SWEEP_SYMBOLS` symbols in all."""
+    hold more than :data:`MAX_SWEEP_SYMBOLS` symbols in all. Otherwise it
+    raises what a sweep deciding the words one by one would raise: the
+    exception of the earliest word on which ``first`` or ``second`` raises.
+
+    A sweep of ``2 * SHARE_WORDS`` words or more is split over ``min(usable
+    CPUs, words // SHARE_WORDS)`` processes, this one and children made by
+    ``os.fork`` (see :mod:`jumpfa._forked`), unless ``os.fork`` is missing or
+    a second thread is alive. So ``first`` and ``second`` must be pure
+    functions of the word that return a bool: whatever else a child changes
+    is lost. From the earliest word a share failed on, this process decides
+    the rest of the sweep itself, so the failure is raised here.
+    """
     cap, size = MAX_SWEEP_SYMBOLS, len(alphabet)
     # The words of length k hold k·|Σ|^k symbols; sum them one length at a time
     # only until the sum passes the cap: within 20,000 lengths if |Σ| >= 1.
     symbols = length = 0
+    words = 1
     while symbols <= cap and length < max_len:
         length += 1
+        words += size**length
         symbols += length * size**length
     if symbols > cap:
         raise SearchLimitError(
             f"gave up: {symbols} symbols up to length {length} exceed the sweep cap of {cap}"
         )
-    out = []
-    for word in iter_words(alphabet, max_len):
-        verdict = first(word)
-        other = second(word)
-        if verdict != other:
-            out.append((word, verdict, other))
+    out: list[tuple[str, bool, bool]] = []
+    resume: int | None = 0
+    processes = _sweep_processes(words)
+    if processes > 1:
+        from ._forked import forked_sweep  # compiled only once a sweep forks
+
+        out, resume = forked_sweep(alphabet, max_len, first, second, processes)
+    if resume is not None:
+        for word in islice(iter_words(alphabet, max_len), resume, None):
+            verdict = first(word)
+            other = second(word)
+            if verdict != other:
+                out.append((word, verdict, other))
     return out
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _sweep_processes(words: int) -> int:
+    """How many processes decide a sweep of ``words`` words. A forked child of
+    a process with a second thread can deadlock, and ``threading`` is read
+    from ``sys.modules`` so that the check imports nothing."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return 1
+    return min(_usable_cpus(), words // SHARE_WORDS)
 
 
 def enumerate_language(aut: Automaton, max_len: int) -> list[str]:

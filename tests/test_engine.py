@@ -1,8 +1,11 @@
 """One-step semantics, membership search, and enumeration."""
 
+import os
 import random
 import re
+import threading
 from collections import deque
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +27,8 @@ from jumpfa.engine import (
     successors,
 )
 from jumpfa.lba import SpaceReport, lba_run
-from jumpfa.oracles import load_bundled
+from jumpfa.oracles import CORPUS_CLAIMS, load_bundled, oracle_difference, oracle_eval
+from jumpfa.transforms import language_difference, reverse_automaton
 
 
 class TestConfigurations:
@@ -220,6 +224,22 @@ class TestMember:
         with pytest.raises(JumpfaError, match=f"^move 0, {re.escape(repr(rule))}, finds no"):
             trace.configs
 
+    @pytest.mark.parametrize("trace, message", [
+        (Trace(Kind.RIGHT, Configuration("", "q0", "a"), (Rule("q9", "a", "q1"),)),
+         "move 0, Rule(src='q9', word='a', dst='q1'), does not leave state 'q0'"),
+        (Trace(Kind.LEFT, Configuration("ab", "q0", ""), (Rule("q0", "b", "q1"), Rule("q0", "a", "q1"))),
+         "move 1, Rule(src='q0', word='a', dst='q1'), does not leave state 'q1'"),
+        (Trace(Kind.RIGHT, Configuration("", "q0", ""), (None,)),
+         "move 0, a return, has no text jumped over to wrap"),
+        (Trace(Kind.LEFT, Configuration("ab", "q0", ""), (None,)),
+         "move 0, a return, has no text jumped over to wrap"),
+    ])
+    def test_replay_refuses_a_move_from_another_state_or_a_return_with_nothing_to_wrap(
+        self, trace, message
+    ):
+        with pytest.raises(JumpfaError, match=f"^{re.escape(message)}$"):
+            trace.configs
+
     def test_canonical_trace_for_a_loop_bb_machine(self):
         # a^l b a^m b a^n: delete the a's front to back (jumping each b),
         # wrap around, then delete the assembled bb.
@@ -291,6 +311,166 @@ class TestEnumerate:
     def test_word_order_is_length_then_lex(self):
         assert list(iter_words("ab", 2)) == ["", "a", "b", "aa", "ab", "ba", "bb"]
         assert list(iter_words("ba", 1)) == ["", "b", "a"]
+
+
+def sequential_differences(alphabet, max_len, first, second):
+    """The bounded sweep as its docstring states it, one word after another."""
+    verdicts = ((w, first(w), second(w)) for w in iter_words(alphabet, max_len))
+    return [(w, x, y) for w, x, y in verdicts if x != y]
+
+
+@contextmanager
+def forked_sweeps(processes=3):
+    """Split every sweep of two words or more over ``processes`` processes,
+    whatever this host has; yields the pids of the children forked. On leaving,
+    no child may be left, reaped or not."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "SHARE_WORDS", 1)
+        mp.setattr(engine, "_usable_cpus", lambda: processes)
+        fork, pids = os.fork, []
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        mp.setattr(os, "fork", counted_fork)
+        yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _refuse_fork():
+    raise AssertionError("this sweep should not fork")
+
+
+# Lengths giving each alphabet size a sweep of a few hundred words.
+SWEEP_LENGTH = {1: 9, 2: 7, 3: 5}
+
+
+class TestForkedSweep:
+    @pytest.mark.parametrize("name", sorted(CORPUS_CLAIMS))
+    def test_corpus_sweeps_equal_the_sequential_sweep(self, name):
+        aut = load_bundled(name)
+        rev = reverse_automaton(aut)
+        n = SWEEP_LENGTH[len(aut.alphabet)]
+
+        def accepted(w):
+            return helpers.accepts(aut, w)
+
+        def claimed(w):
+            return oracle_eval(CORPUS_CLAIMS[name], w)
+
+        with forked_sweeps() as pids:
+            assert enumerate_language(aut, n) == [
+                w for w, _, _ in sequential_differences(aut.alphabet, n, accepted, lambda w: False)
+            ]
+            assert oracle_difference(aut, CORPUS_CLAIMS[name], n) == (
+                sequential_differences(aut.alphabet, n, accepted, claimed)
+            )
+            assert language_difference(aut, rev, n) == sequential_differences(
+                aut.alphabet, n, accepted, lambda w: helpers.accepts(rev, w)
+            )
+        assert len(pids) == 6
+
+    @settings(max_examples=40, deadline=None)
+    @given(helpers.automata(), helpers.automata(), st.integers(2, 4))
+    def test_random_sweeps_equal_the_sequential_sweep(self, a, b, processes):
+        def first(w):
+            return helpers.accepts(a, w)
+
+        def second(w):
+            return helpers.accepts(b, w)
+
+        with forked_sweeps(processes) as pids:
+            assert enumerate_language(a, 6) == [
+                w for w, _, _ in sequential_differences("ab", 6, first, lambda w: False)
+            ]
+            assert language_difference(a, b, 6) == sequential_differences("ab", 6, first, second)
+        assert len(pids) == 2 * (processes - 1)
+
+    def test_the_earliest_search_limit_wins(self, monkeypatch):
+        # Budget 6 on nonrowj-grl: "aab" (word 1 of length 3, a child's) is the
+        # first word to give up, this process's first is "aaaa".
+        monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", 6)
+        aut = load_bundled("nonrowj-grl")
+        with pytest.raises(SearchLimitError) as sequential:
+            sequential_differences("ab", 7, lambda w: helpers.accepts(aut, w), lambda w: False)
+        assert str(sequential.value).endswith(" on input of length 3")
+        with forked_sweeps() as pids:
+            with pytest.raises(SearchLimitError) as forked:
+                enumerate_language(aut, 7)
+        assert pids and str(forked.value) == str(sequential.value)
+
+    @pytest.mark.parametrize("refused, raised", [
+        # Word j of a length is share j % 3's; share 0 is this process's.
+        ({"ba", "abb"}, "ba"),  # share 2, then share 0
+        ({"b", "aa"}, "b"),  # share 1, then share 0
+        ({"aa", "ab", "bab"}, "aa"),  # share 0, then shares 1 and 2
+        ({"abab"}, "abab"),  # share 2 only
+    ])
+    def test_the_earliest_failing_word_raises_here(self, refused, raised):
+        class Refused(Exception):  # a local class: no pickle could carry it
+            pass
+
+        def first(word):
+            if word in refused:
+                raise Refused(word)
+            return word.count("a") == word.count("b")
+
+        with forked_sweeps() as pids:
+            with pytest.raises(Refused) as failure:
+                engine.differences("ab", 6, first, lambda w: True)
+        assert pids and failure.value.args == (raised,)
+
+    def test_a_child_that_dies_leaves_its_share_to_this_process(self):
+        caller = os.getpid()
+
+        def first(word):
+            if os.getpid() != caller:
+                os._exit(3)  # a child killed before it reports
+            return "b" in word
+
+        with forked_sweeps() as pids:
+            assert engine.differences("ab", 5, first, lambda w: False) == (
+                sequential_differences("ab", 5, first, lambda w: False)
+            )
+        assert len(pids) == 2
+
+    def test_a_fork_that_fails_leaves_the_sweep_to_this_process(self, monkeypatch):
+        def fork():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(engine, "SHARE_WORDS", 1)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", fork)
+        assert enumerate_language(load_bundled("dyck-grl"), 6) == [
+            "", "ab", "aabb", "abab", "aaabbb", "aababb", "aabbab", "abaabb", "ababab"
+        ]
+
+    @pytest.mark.parametrize("case", ["no fork", "one CPU", "a second thread", "too few words"])
+    def test_the_sweep_stays_here(self, monkeypatch, case):
+        aut = load_bundled("dyck-gll")
+        expected = enumerate_language(aut, 8)
+        monkeypatch.setattr(engine, "SHARE_WORDS", 1)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 1 if case == "one CPU" else 2)
+        if case == "too few words":
+            monkeypatch.setattr(engine, "SHARE_WORDS", 2**9)  # 511 words, 2 shares need 1,024
+        if case == "no fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", _refuse_fork)
+        release = threading.Event()
+        worker = threading.Thread(target=release.wait)
+        if case == "a second thread":
+            worker.start()
+        try:
+            assert enumerate_language(aut, 8) == expected
+        finally:
+            release.set()
+            if worker.is_alive():
+                worker.join()
 
 
 def _configurations(draw_words):

@@ -20,8 +20,13 @@ from jumpfa.lba import SpaceReport
 ROOT = Path(__file__).parents[1]
 README = (ROOT / "README.md").read_text("utf-8")
 # Standard modules the package does not need and that are slow to import:
-# ``dataclasses`` alone pulls in ``inspect``, ``ast`` and ``dis``.
-HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "importlib.resources"}
+# ``dataclasses`` alone pulls in ``inspect``, ``ast`` and ``dis``. A split sweep
+# forks and reports in plain text, and reads the thread count only when
+# ``threading`` is already loaded, so it needs none of the last four.
+HEAVY_MODULES = {
+    "dataclasses", "inspect", "ast", "dis", "importlib.resources",
+    "pickle", "threading", "multiprocessing", "concurrent.futures",
+}
 
 EXPORTS = {
     "Automaton",
@@ -57,6 +62,7 @@ def test_searches_take_an_automaton_and_a_word_only():
     for search in (jumpfa.member, jumpfa.shortest_trace, jumpfa.lba_run):
         assert list(inspect.signature(search).parameters) == ["aut", "word"]
     assert (engine.MAX_STORED_SYMBOLS, engine.MAX_SWEEP_SYMBOLS) == (2 * 10**7, 2 * 10**8)
+    assert engine.SHARE_WORDS == 2**14
     assert not hasattr(engine, "MAX_EXPANSIONS")
 
 
