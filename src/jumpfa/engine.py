@@ -50,7 +50,7 @@ import os
 import sys
 from collections import deque
 from functools import cached_property
-from itertools import islice, product
+from itertools import product
 from typing import Callable, Container, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -403,10 +403,11 @@ def differences(
     A sweep of ``2 * SHARE_WORDS`` words or more is split over ``min(usable
     CPUs, words // SHARE_WORDS)`` processes, this one and children made by
     ``os.fork`` (see :mod:`jumpfa._forked`), unless ``os.fork`` is missing or
-    a second thread is alive. So ``first`` and ``second`` must be pure
-    functions of the word that return a bool: whatever else a child changes
-    is lost. From the earliest word a share failed on, this process decides
-    the rest of the sweep itself, so the failure is raised here.
+    a second thread is alive, and stays here if a pipe or a fork fails. So
+    ``first`` and ``second`` must be pure functions of the word that return a
+    bool: whatever else a child changes is lost. If a share fails, this
+    process decides the whole sweep again from the first word, so the
+    failure is raised here.
     """
     cap, size = MAX_SWEEP_SYMBOLS, len(alphabet)
     # The words of length k hold k·|Σ|^k symbols; sum them one length at a time
@@ -421,19 +422,27 @@ def differences(
         raise SearchLimitError(
             f"gave up: {symbols} symbols up to length {length} exceed the sweep cap of {cap}"
         )
-    out: list[tuple[str, bool, bool]] = []
-    resume: int | None = 0
     processes = _sweep_processes(words)
     if processes > 1:
         from ._forked import forked_sweep  # compiled only once a sweep forks
 
-        out, resume = forked_sweep(alphabet, max_len, first, second, processes)
-    if resume is not None:
-        for word in islice(iter_words(alphabet, max_len), resume, None):
-            verdict = first(word)
-            other = second(word)
-            if verdict != other:
-                out.append((word, verdict, other))
+        out = forked_sweep(alphabet, max_len, first, second, processes)
+        if out is not None:
+            return out
+    return _differing(iter_words(alphabet, max_len), first, second)
+
+
+def _differing(
+    words: Iterator[str], first: Callable[[str], bool], second: Callable[[str], bool]
+) -> list[tuple[str, bool, bool]]:
+    """``(word, first(word), second(word))`` for each of ``words``, in order,
+    on which the two verdicts differ: the loop of every sweep and share."""
+    out = []
+    for word in words:
+        verdict = first(word)
+        other = second(word)
+        if verdict != other:
+            out.append((word, verdict, other))
     return out
 
 

@@ -4,6 +4,7 @@ import os
 import random
 import re
 import threading
+import time
 from collections import deque
 from contextlib import contextmanager
 
@@ -424,12 +425,13 @@ class TestForkedSweep:
                 engine.differences("ab", 6, first, lambda w: True)
         assert pids and failure.value.args == (raised,)
 
-    def test_a_child_that_dies_leaves_its_share_to_this_process(self):
+    @pytest.mark.parametrize("status", [3, 0])
+    def test_a_child_that_dies_leaves_its_share_to_this_process(self, status):
         caller = os.getpid()
 
         def first(word):
             if os.getpid() != caller:
-                os._exit(3)  # a child killed before it reports
+                os._exit(status)  # a child that ends before it reports
             return "b" in word
 
         with forked_sweeps() as pids:
@@ -438,16 +440,37 @@ class TestForkedSweep:
             )
         assert len(pids) == 2
 
-    def test_a_fork_that_fails_leaves_the_sweep_to_this_process(self, monkeypatch):
-        def fork():
-            raise OSError("no more processes")
+    @pytest.mark.parametrize("call", ["fork", "pipe"])
+    def test_a_fork_that_fails_leaves_the_sweep_to_this_process(self, monkeypatch, call):
+        def fail():
+            raise OSError(24, "Too many open files")
 
         monkeypatch.setattr(engine, "SHARE_WORDS", 1)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, call, fail)
         assert enumerate_language(load_bundled("dyck-grl"), 6) == [
             "", "ab", "aabb", "abab", "aaabbb", "aababb", "aabbab", "abaabb", "ababab"
         ]
+
+    def test_a_share_that_fails_here_ends_the_children_at_once(self):
+        caller = os.getpid()
+
+        def first(word):
+            if os.getpid() != caller and len(word) == 1:
+                time.sleep(20)  # each child's first word: "a" or "b"
+            if word == "":
+                raise ValueError(word)  # this process's first word
+            return False
+
+        start = time.monotonic()
+        with forked_sweeps() as pids:
+            with pytest.raises(ValueError):
+                engine.differences("ab", 5, first, lambda w: False)
+        assert len(pids) == 2 and time.monotonic() - start < 5
+
+    def test_without_affinity_every_cpu_is_usable(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert engine._usable_cpus() == (os.cpu_count() or 1)
 
     @pytest.mark.parametrize("case", ["no fork", "one CPU", "a second thread", "too few words"])
     def test_the_sweep_stays_here(self, monkeypatch, case):
