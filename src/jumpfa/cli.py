@@ -178,6 +178,10 @@ def run_cli(argv: list[str]) -> int:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Some argparse versions (3.13.0 among them) also strip the word "--"
+    # written after "--", and hand the command an empty list instead.
+    if getattr(args, "word", None) == []:
+        args.word = "--"
     try:
         return args.handler(args)
     except (JumpfaError, OSError) as exc:

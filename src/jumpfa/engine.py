@@ -297,7 +297,7 @@ def member(aut: Automaton, word: str) -> tuple[bool, Trace | None]:
     configurations, so :data:`MAX_STORED_SYMBOLS` gives up on exactly the same
     rejected inputs.
     """
-    return _search(aut, word, deque.pop)
+    return _search(aut, initial_config(aut, word), deque.pop, True)
 
 
 def shortest_trace(aut: Automaton, word: str) -> tuple[bool, Trace | None]:
@@ -307,16 +307,31 @@ def shortest_trace(aut: Automaton, word: str) -> tuple[bool, Trace | None]:
     branches resolve in rule declaration order with the return jump last, so
     the returned trace is reproducible.
     """
-    return _search(aut, word, deque.popleft)
+    return _search(aut, initial_config(aut, word), deque.popleft, True)
+
+
+def _decider(aut: Automaton) -> Callable[[str], bool]:
+    """The verdict of :func:`member` for the bounded sweeps, which record no
+    moves and build no :class:`Trace`. The word must be over ``aut.alphabet``
+    and is not checked: every sweep enumerates the automaton's own alphabet.
+    """
+    start = aut.start
+    if aut.kind is Kind.RIGHT:
+        return lambda word: _search(aut, ("", start, word), deque.pop, False)[0]
+    return lambda word: _search(aut, (word, start, ""), deque.pop, False)[0]
 
 
 def _search(
     aut: Automaton,
-    word: str,
-    take: Callable[[deque[tuple[Configuration, _Path]]], tuple[Configuration, _Path]],
+    start: tuple[str, str, str],
+    take: Callable[[deque], object],
+    record: bool,
 ) -> tuple[bool, Trace | None]:
-    """The search behind :func:`member` and :func:`shortest_trace`; ``take``
-    picks the next configuration to expand from the frontier.
+    """The search behind :func:`member`, :func:`shortest_trace` and the
+    sweeps' :func:`_decider`, from ``start``; ``take`` picks the next
+    configuration to expand from the frontier. With ``record`` false the
+    search decides only: a frontier entry is a bare configuration, and
+    acceptance returns ``(True, None)``.
 
     Configurations whose state is not in ``aut.live`` are never built, stored
     or expanded: each step asks :func:`_successors` for the live successors
@@ -325,30 +340,34 @@ def _search(
     as by the unpruned search, and verdicts and traces are unchanged. Only the
     store that :data:`MAX_STORED_SYMBOLS` bounds shrinks.
 
-    The search stores nothing until it branches. Each frontier entry carries
-    the moves that reached it as a linked path, ``(move, parent_path)``, so no
-    configuration is kept once expanded. The graph is acyclic, so while every
-    expansion has yielded at most one live successor the live configurations
-    found form one path that cannot meet itself, and dead ones are never
-    stored. The visited set is created at the first expansion that yields two
-    or more live successors, and every configuration discovered from then on
-    goes into it; none found earlier can be reached again, being an ancestor
-    of all that follow. So every live reachable configuration is still
-    expanded exactly once. The budget charges only what enters the visited set,
-    its symbols plus one each: before it exists the run is one path of at most
-    2n + 1 moves, since each consume shrinks the input and no return follows one.
+    The search stores nothing until it branches. With ``record`` each frontier
+    entry carries the moves that reached it as a linked path, ``(move,
+    parent_path)``, so no configuration is kept once expanded. The graph is
+    acyclic, so while every expansion has yielded at most one live successor
+    the live configurations found form one path that cannot meet itself, and
+    dead ones are never stored. The visited set is created at the first
+    expansion that yields two or more live successors, and every configuration
+    discovered from then on goes into it; none found earlier can be reached
+    again, being an ancestor of all that follow. So every live reachable
+    configuration is still expanded exactly once. The budget charges only what
+    enters the visited set, its symbols plus one each: before it exists the
+    run is one path of at most 2n + 1 moves, since each consume shrinks the
+    input and no return follows one.
     """
-    start = initial_config(aut, word)
     finals, live, rules_from, kind = aut.finals, aut.live, aut.rules_from, aut.kind
-    if start.state not in live:
+    left, state, right = start
+    if state not in live:
         return False, None
-    if not start.left and not start.right and start.state in finals:
-        return True, Trace(kind, start, ())
+    if not left and not right and state in finals:
+        return True, Trace(kind, start, ()) if record else None
     limit = budget = MAX_STORED_SYMBOLS
     seen: set[Configuration] | None = None
-    frontier: deque[tuple[Configuration, _Path]] = deque(((start, None),))
+    frontier = deque(((start, None),) if record else (start,))
     while frontier:
-        config, path = take(frontier)
+        if record:
+            config, path = take(frontier)
+        else:
+            config = take(frontier)
         steps = _successors(kind, rules_from, config, live)
         if seen is None and len(steps) > 1:
             seen = set()
@@ -360,11 +379,12 @@ def _search(
                 budget -= len(nxt.left) + len(nxt.right) + 1
                 if budget < 0:
                     raise SearchLimitError(
-                        f"gave up after storing {limit} symbols on input of length {len(word)}"
+                        f"gave up after storing {limit} symbols"
+                        f" on input of length {len(left) + len(right)}"
                     )
             if not nxt.left and not nxt.right and nxt.state in finals:
-                return True, Trace(kind, start, _moves((move, path)))
-            frontier.append((nxt, (move, path)))
+                return True, Trace(kind, start, _moves((move, path))) if record else None
+            frontier.append((nxt, (move, path)) if record else nxt)
     return False, None
 
 
@@ -394,6 +414,8 @@ def differences(
     """The bounded sweep: ``(word, first(word), second(word))`` for every word
     of length <= max_len, in :func:`iter_words` order, on which the two
     verdicts differ. ``first`` is called before ``second`` on each word.
+    The package's sweeps pass an automaton's verdicts as :func:`_decider`,
+    which decides a word with no word check, no recorded moves and no trace.
 
     Raises :class:`SearchLimitError` before calling either when those words
     hold more than :data:`MAX_SWEEP_SYMBOLS` symbols in all. Otherwise it
@@ -465,7 +487,7 @@ def _sweep_processes(words: int) -> int:
 
 def enumerate_language(aut: Automaton, max_len: int) -> list[str]:
     """All accepted words of length <= max_len, length-lexicographic."""
-    diffs = differences(aut.alphabet, max_len, lambda w: member(aut, w)[0], lambda w: False)
+    diffs = differences(aut.alphabet, max_len, _decider(aut), lambda w: False)
     return [word for word, _, _ in diffs]
 
 

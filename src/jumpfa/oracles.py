@@ -12,7 +12,7 @@ import os
 from typing import Callable, NamedTuple
 
 from .core import Automaton, JumpfaError, SymbolOutsideAlphabetError, parse_automaton
-from .engine import differences, member
+from .engine import _decider, differences, member  # noqa: F401 (the bench tracer wraps member)
 from .transforms import AlphabetMismatchError
 
 
@@ -160,4 +160,4 @@ def oracle_difference(aut: Automaton, name: str, max_len: int) -> list[tuple[str
             f"automaton alphabet {''.join(aut.alphabet)!r} does not match "
             f"oracle alphabet {''.join(predicate.alphabet)!r}"
         )
-    return differences(aut.alphabet, max_len, lambda w: member(aut, w)[0], predicate.fn)
+    return differences(aut.alphabet, max_len, _decider(aut), predicate.fn)

@@ -3,6 +3,8 @@
 import random
 import time
 
+import pytest
+
 import helpers
 from jumpfa import cli
 from jumpfa.cli import run_cli
@@ -35,6 +37,27 @@ class TestMember:
         assert run(capsys, "member", str(dash), "--", "-a") == (0, "accept\n", "")
         _, out, _ = run(capsys, "member", "--help")
         assert "put -- before a word that starts with -" in " ".join(out.split())
+
+    def test_the_word_double_dash_after_double_dash(self, capsys, tmp_path):
+        # Some argparse versions strip this second "--" as well.
+        dash = tmp_path / "dash.jfa"
+        dash.write_text("kind: grl\nalphabet: -a\nstates: p q\nstart: p\nfinal: q\nrule: p -- q\n")
+        assert run(capsys, "member", str(dash), "--", "--") == (0, "accept\n", "")
+        assert run(capsys, "member", str(dash), "--", "-") == (1, "reject\n", "")
+        assert run(capsys, "trace", str(dash), "--", "--") == (
+            0, "<eps> | p | --\n<eps> | q | <eps>  -- consume(p,--,q skip=<eps>)\n", ""
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ("member", "dyck-grl", "--", "--"),
+        ("trace", "bmabbn-grl", "--", "--"),
+        ("lba", "dyck-grl", "--", "--"),
+        ("oracle", "dyck", "--", "--"),
+    ])
+    def test_the_word_double_dash_outside_the_alphabet_is_an_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: symbol '-' is not in")
 
 
 class TestTrace:

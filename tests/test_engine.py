@@ -659,10 +659,17 @@ def assert_expands_each_live_configuration_once(aut, word):
         assert successor_calls(search, aut, word) == (False, len(live))
 
 
+def verdict_search(aut, word):
+    """The sweeps' verdict path, shaped like the result of ``member``."""
+    return engine._decider(aut)(word), None
+
+
 def assert_depth_first_agrees(aut, word):
     accepted, trace = member(aut, word)
     shortest_accepted, shortest = shortest_trace(aut, word)
     assert accepted == shortest_accepted
+    # The verdict path decides alike and expands the same configurations.
+    assert successor_calls(verdict_search, aut, word) == successor_calls(member, aut, word)
     if accepted:
         assert_replays(aut, word, trace)
         assert len(trace.moves) >= len(shortest.moves)
@@ -673,7 +680,8 @@ def assert_depth_first_agrees(aut, word):
 
 class TestDepthFirstMember:
     """``member`` searches depth-first; ``shortest_trace`` is the breadth-first
-    reference it must agree with."""
+    reference it must agree with, and the sweeps' verdict path must agree
+    with ``member``."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -761,3 +769,34 @@ class TestSearchStorage:
             assert member(aut, word)[0]
             assert shortest_trace(aut, word)[0]
             assert lba_run(aut, word) == (True, SpaceReport(4002, 2000, 3999))
+
+
+class TestVerdictPath:
+    """The sweeps decide each word by the one search, recording nothing;
+    ``assert_depth_first_agrees`` checks its verdicts against ``member``."""
+
+    def test_search_limit_guard(self, monkeypatch):
+        assert_stores_ten_symbols_rejecting_aab(monkeypatch, verdict_search)
+
+    def test_sweeps_check_no_word_and_build_no_trace(self, monkeypatch):
+        dyck, exrl, exrl_left = (load_bundled(n) for n in ("dyck-grl", "exrl-grl", "exrl-gll"))
+        expected = (
+            [w for w in iter_words("ab", 8) if oracle_eval("dyck", w)],
+            sequential_differences(
+                "ab", 6, lambda w: member(exrl, w)[0], lambda w: oracle_eval("exrl_gll", w)
+            ),
+            sequential_differences(
+                "ab", 6, lambda w: member(exrl, w)[0], lambda w: member(exrl_left, w)[0]
+            ),
+        )
+        assert expected[1] and expected[2]
+
+        def refuse(*args):
+            raise AssertionError("a sweep checked a word or built a trace")
+
+        monkeypatch.setattr(engine, "check_word", refuse)
+        monkeypatch.setattr(engine, "Trace", refuse)
+        monkeypatch.setattr(os, "fork", _refuse_fork)  # 511 and 127 words: too few to fork
+        assert enumerate_language(dyck, 8) == expected[0]
+        assert oracle_difference(exrl, "exrl_gll", 6) == expected[1]
+        assert language_difference(exrl, exrl_left, 6) == expected[2]
