@@ -2,12 +2,14 @@
 
 A sweep split over ``n`` processes gives share ``i`` word ``j`` of each
 length when ``j % n == i``, so cheap and dear words spread evenly over the
-shares. The calling process decides share 0 and forks a child for each other
-share. A child writes its differing words with both verdicts to a pipe as
-one ``marshal`` value, then leaves by ``os._exit``. The rows of all shares
-are merged into sweep order. If a pipe or a fork fails, the caller's share
-raises, or a child's report is missing or cut short, the sweep returns
-``None`` and the caller decides the whole sweep again in one process.
+shares: :func:`jumpfa.engine.iter_words` enumerates share ``i`` of ``n``, as
+it enumerates the whole sweep in one process. The calling process decides
+share 0 and forks a child for each other share. A child writes its differing
+words with both verdicts to a pipe as one ``marshal`` value, then leaves by
+``os._exit``. The rows of all shares are merged into sweep order. If a pipe
+or a fork fails, the caller's share raises, or a child's report is missing
+or cut short, the sweep returns ``None`` and the caller decides the whole
+sweep again in one process.
 
 This module is imported only when a sweep forks, so ``import jumpfa`` does
 not compile it.
@@ -17,17 +19,9 @@ from __future__ import annotations
 
 import marshal
 import os
-from itertools import islice, product
-from typing import Callable, Iterator, NoReturn, Sequence
+from typing import Callable, NoReturn, Sequence
 
-from .engine import _differing
-
-
-def _share(alphabet: Sequence[str], max_len: int, share: int, shares: int) -> Iterator[str]:
-    """Word ``j`` of each length for ``j % shares == share``, in sweep order."""
-    for length in range(max_len + 1):
-        for letters in islice(product(alphabet, repeat=length), share, None, shares):
-            yield "".join(letters)
+from .engine import _differing, iter_words
 
 
 def forked_sweep(
@@ -52,7 +46,7 @@ def forked_sweep(
                 pids.append(pid)
             finally:  # reached only in the caller
                 os.close(write)
-        rows = _differing(_share(alphabet, max_len, 0, processes), first, second)
+        rows = _differing(iter_words(alphabet, max_len, 0, processes), first, second)
         for read in pipes:
             rows += marshal.loads(b"".join(iter(lambda: os.read(read, 1 << 16), b"")))
         while pids:
@@ -85,7 +79,7 @@ def _child(
     ``marshal`` value and exit, whatever happens, without unwinding the
     caller's stack. A share that raises writes nothing."""
     try:
-        rows = _differing(_share(alphabet, max_len, share, shares), first, second)
+        rows = _differing(iter_words(alphabet, max_len, share, shares), first, second)
         with open(write, "wb") as pipe:
             pipe.write(marshal.dumps(rows))
     finally:

@@ -20,7 +20,8 @@ terminates. The search stores no configuration until it branches: while each
 expansion yields at most one live successor the run cannot meet itself, so
 on a machine with one rule per state it keeps only the moves it has made. A
 :class:`Trace` holds its start configuration and its moves, and replays its
-configurations from the moves when they are first read. A move is the
+configurations from the moves, through the search's own step, when they are
+first read. A move is the
 :class:`~jumpfa.core.Rule` a consume applies, ``(src, word, dst)``, since a
 rule fires only at the nearest occurrence of its word, or ``None`` for the
 return, which applies no rule. Configurations and traces are named tuples,
@@ -50,7 +51,7 @@ import os
 import sys
 from collections import deque
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Container, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -107,10 +108,12 @@ class Trace(_TraceFields):
     A consume move is its rule, which can fire only at the nearest occurrence
     of its word, and a return is ``None`` and wraps by ``kind``, so
     ``configs`` is replayed from the moves when it is first read, and cached
-    on the value, outside the tuple. The replay raises :class:`JumpfaError`
-    on a consume whose rule does not leave the current state or whose word
-    does not occur ahead of the head, and on a return with no text jumped over
-    to wrap (an empty left buffer for ``grl``, right one for ``gll``). A trace
+    on the value, outside the tuple. The replay takes each move through the
+    search's own step, :func:`_successors`: a consume as the only rule of its
+    state, a return with no rule at all. It raises :class:`JumpfaError` on a
+    consume whose rule does not leave the current state or whose word does
+    not occur ahead of the head, and on a return with no text jumped over to
+    wrap (an empty left buffer for ``grl``, right one for ``gll``). A trace
     carries no automaton, so the replay cannot check that a move was enabled:
     that no nearer readable word blocked a consume, or that nothing readable
     lay ahead of a return, or that the last state is final. Like every other
@@ -124,28 +127,22 @@ class Trace(_TraceFields):
 
     @cached_property
     def configs(self) -> tuple[Configuration, ...]:
-        left, state, right = self.start
-        configs = [self.start]
-        right_linear = self.kind is Kind.RIGHT
+        config = self.start
+        configs = [config]
         for index, move in enumerate(self.moves):
+            state = config[1]  # the start may be a plain tuple
             if move is None:
-                if not (left if right_linear else right):
+                steps = _successors(self.kind, {}, config, ())
+                if not steps:
                     raise JumpfaError(f"move {index}, a return, has no text jumped over to wrap")
-                text = left + right
-                left, right = ("", text) if right_linear else (text, "")
+            elif move.src != state:
+                raise JumpfaError(f"move {index}, {move}, does not leave state {state!r}")
             else:
-                if move.src != state:
-                    raise JumpfaError(f"move {index}, {move}, does not leave state {state!r}")
-                pos = right.find(move.word) if right_linear else left.rfind(move.word)
-                if pos < 0:
+                steps = _successors(self.kind, {move.src: (move,)}, config, (move.dst,))
+                if not steps or steps[0][0] is None:
                     raise JumpfaError(f"move {index}, {move}, finds no {move.word!r} ahead")
-                end = pos + len(move.word)
-                if right_linear:
-                    left, right = left + right[:pos], right[end:]
-                else:
-                    left, right = left[:pos], left[end:] + right
-                state = move.dst
-            configs.append(Configuration(left, state, right))
+            config = steps[0][1]
+            configs.append(config)
         return tuple(configs)
 
 
@@ -397,11 +394,15 @@ def _moves(path: _Path) -> tuple[Move, ...]:
     return tuple(moves)
 
 
-def iter_words(alphabet: Sequence[str], max_len: int) -> Iterator[str]:
+def iter_words(
+    alphabet: Sequence[str], max_len: int, share: int = 0, shares: int = 1
+) -> Iterator[str]:
     """All words of length <= max_len in length-then-lexicographic order,
-    using the declaration order of ``alphabet``."""
+    using the declaration order of ``alphabet``. A sweep split into
+    ``shares`` shares gives share ``share`` word ``j`` of each length when
+    ``j % shares == share``, still in that order."""
     for length in range(max_len + 1):
-        for letters in product(alphabet, repeat=length):
+        for letters in islice(product(alphabet, repeat=length), share, None, shares):
             yield "".join(letters)
 
 

@@ -41,12 +41,7 @@ from typing import Mapping, NamedTuple
 
 from . import engine
 from .core import Automaton, Kind, Rule, check_word
-from .engine import (
-    SearchLimitError,
-    differences,
-    enabled_deletions,
-    member,
-)
+from .engine import SearchLimitError, enabled_deletions, member  # noqa: F401 (the bench tracer wraps member)
 from .transforms import reverse_automaton
 
 MARK = "#"  # a consumed cell awaiting compaction; never an input symbol
@@ -140,13 +135,3 @@ def lba_run(aut: Automaton, word: str) -> tuple[bool, SpaceReport]:
             queue.append((nxt, nxt_depth, nxt_compactions))
     return False, SpaceReport(max_cells, worst_compactions, worst_steps)
 
-
-def lba_equivalence(aut: Automaton, max_len: int) -> list[str]:
-    """Words of length <= max_len where the machine and the engine disagree.
-
-    Empty certifies bounded equivalence of the two implementations.
-    """
-    diffs = differences(
-        aut.alphabet, max_len, lambda w: lba_run(aut, w)[0], lambda w: member(aut, w)[0]
-    )
-    return [word for word, _, _ in diffs]

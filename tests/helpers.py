@@ -9,8 +9,8 @@ from itertools import product
 from hypothesis import strategies as st
 
 from jumpfa.core import Automaton, Kind, Rule, make_automaton
-from jumpfa.engine import Configuration, initial_config, member, successors
-from jumpfa.lba import TapeConfig, _machine_successors
+from jumpfa.engine import Configuration, differences, initial_config, member, successors
+from jumpfa.lba import TapeConfig, _machine_successors, lba_run
 from jumpfa.oracles import CORPUS_CLAIMS, load_bundled
 
 
@@ -27,6 +27,15 @@ def is_accepting(aut: Automaton, config: Configuration) -> bool:
 def accepts(aut: Automaton, word: str) -> bool:
     """Membership verdict only."""
     return member(aut, word)[0]
+
+
+def lba_equivalence(aut: Automaton, max_len: int) -> list[str]:
+    """Words of length <= max_len where the marked-tape machine and the
+    engine disagree. Empty certifies bounded equivalence of the two."""
+    diffs = differences(
+        aut.alphabet, max_len, lambda w: lba_run(aut, w)[0], lambda w: member(aut, w)[0]
+    )
+    return [word for word, _, _ in diffs]
 
 
 def all_words(alphabet: str, lo: int, hi: int) -> list[str]:

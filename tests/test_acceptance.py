@@ -117,16 +117,18 @@ def test_criterion_07_reversal_duality_and_bisimulation():
 
 
 def test_criterion_08_literal_clause_oracle_for_the_consume_step():
-    with criterion(8, "fast consume step == literal-clause oracle, 100 random machines"):
-        rnd = random.Random(0x5EED)
-        for _ in range(100):
-            aut = helpers.random_automaton(rnd, kind=Kind.RIGHT)
-            seen = set()
-            for w in iter_words("ab", 8):
-                helpers.walk_configs(aut, w, seen)
-            for config in seen:
-                fast = helpers.consume_steps(aut, config)
-                assert fast == naive_consume_successors(aut, config), (aut, config)
+    title = "fast consume step == literal-clause oracle, 100 random machines of each kind"
+    with criterion(8, title):
+        for kind in (Kind.RIGHT, Kind.LEFT):
+            rnd = random.Random(0x5EED)
+            for _ in range(100):
+                aut = helpers.random_automaton(rnd, kind=kind)
+                seen = set()
+                for w in iter_words("ab", 8):
+                    helpers.walk_configs(aut, w, seen)
+                for config in seen:
+                    fast = helpers.consume_steps(aut, config)
+                    assert fast == naive_consume_successors(aut, config), (aut, config)
 
 
 def test_criterion_09_marked_tape_machine_equivalence_and_space_bound():

@@ -7,6 +7,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
+from itertools import chain, zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -219,6 +220,9 @@ class TestMember:
     @pytest.mark.parametrize("trace", [
         Trace(Kind.RIGHT, Configuration("", "q0", "b"), (Rule("q0", "a", "q1"),)),
         Trace(Kind.LEFT, Configuration("ab", "q0", ""), (Rule("q0", "c", "q1"),)),
+        # Text jumped over: the step offers the return, which is not the move.
+        Trace(Kind.RIGHT, Configuration("a", "q0", "b"), (Rule("q0", "c", "q1"),)),
+        Trace(Kind.LEFT, Configuration("b", "q0", "a"), (Rule("q0", "c", "q1"),)),
     ])
     def test_replay_refuses_a_move_whose_word_is_not_ahead(self, trace):
         rule = trace.moves[0]
@@ -227,6 +231,8 @@ class TestMember:
 
     @pytest.mark.parametrize("trace, message", [
         (Trace(Kind.RIGHT, Configuration("", "q0", "a"), (Rule("q9", "a", "q1"),)),
+         "move 0, Rule(src='q9', word='a', dst='q1'), does not leave state 'q0'"),
+        (Trace(Kind.RIGHT, ("", "q0", "a"), (Rule("q9", "a", "q1"),)),  # a plain tuple start
          "move 0, Rule(src='q9', word='a', dst='q1'), does not leave state 'q0'"),
         (Trace(Kind.LEFT, Configuration("ab", "q0", ""), (Rule("q0", "b", "q1"), Rule("q0", "a", "q1"))),
          "move 1, Rule(src='q0', word='a', dst='q1'), does not leave state 'q1'"),
@@ -312,6 +318,22 @@ class TestEnumerate:
     def test_word_order_is_length_then_lex(self):
         assert list(iter_words("ab", 2)) == ["", "a", "b", "aa", "ab", "ba", "bb"]
         assert list(iter_words("ba", 1)) == ["", "b", "a"]
+
+    @pytest.mark.parametrize("alphabet", ["ab", "abc"])
+    def test_shares_deal_the_sweep_round_robin_within_each_length(self, alphabet):
+        for max_len in range(7):
+            whole = list(iter_words(alphabet, max_len))
+            position = {word: index for index, word in enumerate(whole)}
+            for shares in range(1, 5):
+                dealt = [list(iter_words(alphabet, max_len, i, shares)) for i in range(shares)]
+                assert len(set(chain(*dealt))) == sum(map(len, dealt))
+                for words in dealt:
+                    assert [position[w] for w in words] == sorted(position[w] for w in words)
+                merged = []
+                for length in range(max_len + 1):
+                    rows = [[w for w in words if len(w) == length] for words in dealt]
+                    merged += [w for deal in zip_longest(*rows) for w in deal if w is not None]
+                assert merged == whole, (max_len, shares)
 
 
 def sequential_differences(alphabet, max_len, first, second):

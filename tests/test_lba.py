@@ -16,7 +16,7 @@ from jumpfa.engine import (
     member,
     successors,
 )
-from jumpfa.lba import MARK, SpaceReport, TapeConfig, lba_equivalence, lba_run
+from jumpfa.lba import MARK, SpaceReport, TapeConfig, lba_run
 from jumpfa.oracles import load_bundled
 from jumpfa.transforms import reverse_automaton
 
@@ -153,14 +153,14 @@ class TestTapeInvariants:
 
 class TestEquivalence:
     def test_bounded_equivalence_smoke(self):
-        assert lba_equivalence(load_bundled("bmabbn-grl"), 6) == []
-        assert lba_equivalence(load_bundled("nonrowj-grl"), 6) == []
+        assert helpers.lba_equivalence(load_bundled("bmabbn-grl"), 6) == []
+        assert helpers.lba_equivalence(load_bundled("nonrowj-grl"), 6) == []
 
     def test_random_machines_smoke(self):
         rnd = random.Random(20240817)
         for _ in range(10):
             aut = helpers.random_automaton(rnd, kind=Kind.RIGHT)
-            assert lba_equivalence(aut, 5) == []
+            assert helpers.lba_equivalence(aut, 5) == []
 
     def test_corrupted_machine_diverges_from_engine(self, monkeypatch):
         # A machine that refuses to compact a stuck tape with marked cells

@@ -145,7 +145,7 @@ def test_readme_library_tour_runs(capsys):
 def test_readme_console_examples_print_what_they_show(capsys):
     console = re.search(r"```console\n(.*?)```", README, re.DOTALL).group(1)
     examples = re.findall(r"^\$ jumpfa (.*)\n((?:(?!\$ ).*\n)*)", console, re.MULTILINE)
-    assert len(examples) == 4
+    assert len(examples) == 5
     for command, shown in examples:
         run_cli(command.split())
         assert capsys.readouterr().out == shown, command
