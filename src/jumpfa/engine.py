@@ -16,9 +16,10 @@ ahead of the same position), so acceptance is existential over branches and
 stopping at the first accepting run it finds. :func:`shortest_trace` runs the
 same search breadth-first, for a shortest run. Every consume strictly shrinks
 the input and returns never repeat, so the graph is acyclic and the search
-terminates. The search stores no configuration until it branches: while each
-expansion yields at most one live successor the run cannot meet itself, so
-on a machine with one rule per state it keeps only the moves it has made. A
+terminates. The search keeps no frontier and stores nothing until it
+branches: while each expansion yields at most one live successor the run
+cannot meet itself, so on a machine with one rule per state it follows that
+successor and keeps only the moves it has made. A
 :class:`Trace` holds its start configuration and its moves, and replays its
 configurations from the moves, through the search's own step, when they are
 first read. A move is the
@@ -52,6 +53,7 @@ import sys
 from collections import deque
 from functools import cached_property
 from itertools import islice, product
+from math import isqrt
 from typing import Callable, Container, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -68,9 +70,10 @@ from .core import (
 MAX_STORED_SYMBOLS = 20_000_000
 # Hard cap on the input symbols of all the words one bounded sweep visits.
 MAX_SWEEP_SYMBOLS = 200_000_000
-# Fewest words per process worth a fork: a sweep of the 265,720 words of length
-# <= 11 over three letters splits, one of the 29,524 of length <= 9 does not.
-SHARE_WORDS = 2**14
+# Fewest words per share for each fork the caller makes: a sweep of w words runs
+# in isqrt(w // SHARE_WORDS) processes at most, so one of 4,096 words forks once.
+# A fork round trip costs about 2 ms on a 2-CPU Linux VM, some 400 swept words.
+SHARE_WORDS = 2**10
 
 
 class SearchLimitError(JumpfaError):
@@ -337,19 +340,24 @@ def _search(
     as by the unpruned search, and verdicts and traces are unchanged. Only the
     store that :data:`MAX_STORED_SYMBOLS` bounds shrinks.
 
-    The search stores nothing until it branches. With ``record`` each frontier
-    entry carries the moves that reached it as a linked path, ``(move,
-    parent_path)``, so no configuration is kept once expanded. The graph is
-    acyclic, so while every expansion has yielded at most one live successor
-    the live configurations found form one path that cannot meet itself, and
-    dead ones are never stored. The visited set is created at the first
-    expansion that yields two or more live successors, and every configuration
-    discovered from then on goes into it; none found earlier can be reached
-    again, being an ancestor of all that follow. So every live reachable
-    configuration is still expanded exactly once. The budget charges only what
-    enters the visited set, its symbols plus one each: before it exists the
-    run is one path of at most 2n + 1 moves, since each consume shrinks the
-    input and no return follows one.
+    The search keeps no frontier and stores nothing until it branches. The
+    graph is acyclic, so while every expansion has yielded at most one live
+    successor the live configurations found form one path that cannot meet
+    itself, and dead ones are never stored: the search follows that one
+    successor, with the same accept check, and with ``record`` links each
+    move onto the path. At the first expansion that yields two or more live
+    successors it creates the visited set and the frontier, which starts with
+    that expansion's successors, and goes on as a frontier search; the order
+    of expansion is the one a frontier from the start would give. Every
+    configuration discovered from then on goes into the visited set; none
+    found earlier can be reached again, being an ancestor of all that follow.
+    So every live reachable configuration is still expanded exactly once.
+    With ``record`` each frontier entry carries the moves that reached it as
+    a linked path, ``(move, parent_path)``, so no configuration is kept once
+    expanded. The budget charges only what enters the visited set, its
+    symbols plus one each: before it exists the run is one path of at most
+    2n + 1 moves, since each consume shrinks the input and no return follows
+    one.
     """
     finals, live, rules_from, kind = aut.finals, aut.live, aut.rules_from, aut.kind
     left, state, right = start
@@ -357,32 +365,41 @@ def _search(
         return False, None
     if not left and not right and state in finals:
         return True, Trace(kind, start, ()) if record else None
+    path: _Path = None
+    steps = _successors(kind, rules_from, start, live)
+    while len(steps) == 1:
+        (move, config), = steps
+        if record:
+            path = (move, path)
+        if not config.left and not config.right and config.state in finals:
+            return True, Trace(kind, start, _moves(path)) if record else None
+        steps = _successors(kind, rules_from, config, live)
+    if not steps:
+        return False, None
     limit = budget = MAX_STORED_SYMBOLS
-    seen: set[Configuration] | None = None
-    frontier = deque(((start, None),) if record else (start,))
-    while frontier:
+    seen: set[Configuration] = set()
+    frontier: deque = deque()
+    while True:
+        for move, nxt in steps:
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            budget -= len(nxt.left) + len(nxt.right) + 1
+            if budget < 0:
+                raise SearchLimitError(
+                    f"gave up after storing {limit} symbols"
+                    f" on input of length {len(left) + len(right)}"
+                )
+            if not nxt.left and not nxt.right and nxt.state in finals:
+                return True, Trace(kind, start, _moves((move, path))) if record else None
+            frontier.append((nxt, (move, path)) if record else nxt)
+        if not frontier:
+            return False, None
         if record:
             config, path = take(frontier)
         else:
             config = take(frontier)
         steps = _successors(kind, rules_from, config, live)
-        if seen is None and len(steps) > 1:
-            seen = set()
-        for move, nxt in steps:
-            if seen is not None:
-                if nxt in seen:
-                    continue
-                seen.add(nxt)
-                budget -= len(nxt.left) + len(nxt.right) + 1
-                if budget < 0:
-                    raise SearchLimitError(
-                        f"gave up after storing {limit} symbols"
-                        f" on input of length {len(left) + len(right)}"
-                    )
-            if not nxt.left and not nxt.right and nxt.state in finals:
-                return True, Trace(kind, start, _moves((move, path))) if record else None
-            frontier.append((nxt, (move, path)) if record else nxt)
-    return False, None
 
 
 def _moves(path: _Path) -> tuple[Move, ...]:
@@ -423,9 +440,10 @@ def differences(
     raises what a sweep deciding the words one by one would raise: the
     exception of the earliest word on which ``first`` or ``second`` raises.
 
-    A sweep of ``2 * SHARE_WORDS`` words or more is split over ``min(usable
-    CPUs, words // SHARE_WORDS)`` processes, this one and children made by
-    ``os.fork`` (see :mod:`jumpfa._forked`), unless ``os.fork`` is missing or
+    A sweep of ``4 * SHARE_WORDS`` words or more is split over ``min(usable
+    CPUs, isqrt(words // SHARE_WORDS))`` processes (see
+    :func:`_sweep_processes`), this one and children made by ``os.fork``
+    (see :mod:`jumpfa._forked`), unless ``os.fork`` is missing or
     a second thread is alive, and stays here if a pipe or a fork fails. So
     ``first`` and ``second`` must be pure functions of the word that return a
     bool: whatever else a child changes is lost. If a share fails, this
@@ -477,13 +495,19 @@ def _usable_cpus() -> int:
 
 
 def _sweep_processes(words: int) -> int:
-    """How many processes decide a sweep of ``words`` words. A forked child of
-    a process with a second thread can deadlock, and ``threading`` is read
-    from ``sys.modules`` so that the check imports nothing."""
+    """How many processes decide a sweep of ``words`` words: the usable CPUs,
+    but no more than ``p`` with ``p * p * SHARE_WORDS <= words``. The caller
+    forks its children one after another, so the more it forks, the more
+    words each share must hold to pay for the forks before it: with ``p``
+    processes each share holds at least ``SHARE_WORDS`` words per fork. On 2
+    CPUs every sweep of 4,096 words or more forks; the 265,720 words of
+    length <= 11 over three letters take 16 processes at most. A forked
+    child of a process with a second thread can deadlock, and ``threading``
+    is read from ``sys.modules`` so that the check imports nothing."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
         return 1
-    return min(_usable_cpus(), words // SHARE_WORDS)
+    return max(1, min(_usable_cpus(), isqrt(words // SHARE_WORDS)))
 
 
 def enumerate_language(aut: Automaton, max_len: int) -> list[str]:

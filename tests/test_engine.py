@@ -7,7 +7,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from itertools import chain, zip_longest
+from itertools import chain, combinations, zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -490,6 +490,24 @@ class TestForkedSweep:
                 engine.differences("ab", 5, first, lambda w: False)
         assert len(pids) == 2 and time.monotonic() - start < 5
 
+    @pytest.mark.parametrize(
+        "cpus, words, processes",
+        [
+            (2, 4_095, 1),
+            (2, 4_096, 2),
+            (2, 8_191, 2),
+            (64, 29_524, 5),
+            (64, 265_720, 16),
+            (64, 7_174_453, 64),
+        ],
+    )
+    def test_processes_grow_with_the_square_root_of_the_words(
+        self, monkeypatch, cpus, words, processes
+    ):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", _refuse_fork)
+        assert engine._sweep_processes(words) == processes
+
     def test_without_affinity_every_cpu_is_usable(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert engine._usable_cpus() == (os.cpu_count() or 1)
@@ -501,7 +519,7 @@ class TestForkedSweep:
         monkeypatch.setattr(engine, "SHARE_WORDS", 1)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 1 if case == "one CPU" else 2)
         if case == "too few words":
-            monkeypatch.setattr(engine, "SHARE_WORDS", 2**9)  # 511 words, 2 shares need 1,024
+            monkeypatch.setattr(engine, "SHARE_WORDS", 2**9)  # 511 words, 2 shares need 2,048
         if case == "no fork":
             monkeypatch.delattr(os, "fork")
         else:
@@ -565,6 +583,36 @@ class TestDualRouteMembership:
     @given(helpers.automata(), st.text(alphabet="ab", max_size=7))
     def test_member_agrees_with_naive_search(self, aut, word):
         assert member(aut, word)[0] == naive_member(aut, word)
+
+
+def small_scope_automata():
+    """Every automaton over ``ab`` with states q0 (the start) and q1, at most
+    two rules of words of length <= 2 and a nonempty final set, of both kinds."""
+    words = [w for w in iter_words("ab", 2) if w]
+    rules = [(src, w, dst) for src in ("q0", "q1") for w in words for dst in ("q0", "q1")]
+    # A state has at most one rule per word.
+    pairs = [pair for pair in combinations(rules, 2) if pair[0][:2] != pair[1][:2]]
+    for kind in ("grl", "gll"):
+        for finals in (["q0"], ["q1"], ["q0", "q1"]):
+            for chosen in chain([()], ((rule,) for rule in rules), pairs):
+                yield make_automaton(kind, "ab", ["q0", "q1"], "q0", finals, chosen)
+
+
+class TestSmallScope:
+    """Every small machine on every short word, in place of random draws: a
+    shape that random machines rarely take cannot slip through."""
+
+    def test_every_search_decides_as_the_naive_search(self):
+        machines = list(small_scope_automata())
+        assert len(machines) == 1734
+        words = list(iter_words("ab", 5))
+        assert len(words) == 63
+        for aut in machines:
+            decide = engine._decider(aut)
+            for word in words:
+                expected = naive_member(aut, word)
+                verdicts = (member(aut, word)[0], shortest_trace(aut, word)[0], decide(word))
+                assert verdicts == (expected,) * 3, (aut.kind, aut.finals, aut.rules, word)
 
 
 class TestInvariants:
@@ -791,6 +839,22 @@ class TestSearchStorage:
             assert member(aut, word)[0]
             assert shortest_trace(aut, word)[0]
             assert lba_run(aut, word) == (True, SpaceReport(4002, 2000, 3999))
+
+
+    def test_a_search_that_never_branches_builds_no_frontier(self, monkeypatch):
+        class NoFrontier(deque):
+            def __init__(self, *args):
+                raise AssertionError("a search that never branched built a frontier")
+
+        monkeypatch.setattr(engine, "deque", NoFrontier)
+        accepted, rejected = "a" * 300 + "b" * 300, "a" * 300 + "b" * 299 + "a"
+        for name in ("dyck-grl", "dyck-gll"):
+            aut = load_bundled(name)
+            decide = engine._decider(aut)
+            for search in (member, shortest_trace):
+                assert search(aut, accepted)[0]
+                assert search(aut, rejected) == (False, None)
+            assert decide(accepted) and not decide(rejected)
 
 
 class TestVerdictPath:

@@ -62,7 +62,7 @@ def test_searches_take_an_automaton_and_a_word_only():
     for search in (jumpfa.member, jumpfa.shortest_trace, jumpfa.lba_run):
         assert list(inspect.signature(search).parameters) == ["aut", "word"]
     assert (engine.MAX_STORED_SYMBOLS, engine.MAX_SWEEP_SYMBOLS) == (2 * 10**7, 2 * 10**8)
-    assert engine.SHARE_WORDS == 2**14
+    assert engine.SHARE_WORDS == 2**10
     assert not hasattr(engine, "MAX_EXPANSIONS")
 
 
