@@ -74,6 +74,9 @@ MAX_SWEEP_SYMBOLS = 200_000_000
 # in isqrt(w // SHARE_WORDS) processes at most, so one of 4,096 words forks once.
 # A fork round trip costs about 2 ms on a 2-CPU Linux VM, some 400 swept words.
 SHARE_WORDS = 2**10
+# The right-linear kind, read once: on Python 3.11 reading an Enum member
+# costs about ten times a module global, and every step tests the kind.
+_RIGHT = Kind.RIGHT
 
 
 class SearchLimitError(JumpfaError):
@@ -174,7 +177,7 @@ def enabled_deletions(kind: Kind, rules: Sequence[Rule], text: str) -> list[tupl
     word occurs in ``text``.
     """
     hits: list[tuple[Rule, int]] = []
-    if kind is Kind.RIGHT:
+    if kind is _RIGHT:
         bound = len(text)
         for rule in rules:
             pos = text.find(rule.word)
@@ -212,7 +215,7 @@ def _successors(
     left, state, right = config
     rules = rules_from.get(state, ())
     out: list[tuple[Move, Configuration]] = []
-    if kind is Kind.RIGHT:
+    if kind is _RIGHT:
         hits = enabled_deletions(kind, rules, right)
         for rule, pos in hits:
             if rule.dst in keep:
@@ -419,8 +422,7 @@ def iter_words(
     ``shares`` shares gives share ``share`` word ``j`` of each length when
     ``j % shares == share``, still in that order."""
     for length in range(max_len + 1):
-        for letters in islice(product(alphabet, repeat=length), share, None, shares):
-            yield "".join(letters)
+        yield from map("".join, islice(product(alphabet, repeat=length), share, None, shares))
 
 
 def differences(

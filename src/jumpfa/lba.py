@@ -20,11 +20,13 @@ with nothing marked therefore halts. Every move marks cells or removes marked
 ones, so the graph of tapes has no cycle.
 
 Nondeterministic rule choice is resolved by breadth-first search over machine
-configurations. As in the engine's search, nothing is stored until the run
-branches: a run that has not branched is one path, which cannot meet itself
-in an acyclic graph. The visited set is created at the first expansion with
-two or more successors and cuts branches that meet again (rules ``a`` and
-``aa`` mark the same cells).
+configurations. As in the engine's search, there is no queue and nothing is
+stored until the run branches: a run that has not branched is one path, which
+cannot meet itself in an acyclic graph, so the machine follows each lone
+successor with only its depth and compaction count. The visited set and the
+queue are created at the first macro-step with two or more successors; the
+set cuts branches that meet again (rules ``a`` and ``aa`` mark the same
+cells).
 
 Gap checking uses every word readable in the current state, through the
 engine's consume rule (:func:`jumpfa.engine.enabled_deletions`); checking only
@@ -41,7 +43,7 @@ from typing import Mapping, NamedTuple
 
 from . import engine
 from .core import Automaton, Kind, Rule, check_word
-from .engine import SearchLimitError, enabled_deletions, member  # noqa: F401 (the bench tracer wraps member)
+from .engine import _RIGHT, SearchLimitError, enabled_deletions, member  # noqa: F401 (the bench tracer wraps member)
 from .transforms import reverse_automaton
 
 MARK = "#"  # a consumed cell awaiting compaction; never an input symbol
@@ -76,7 +78,7 @@ def _machine_successors(
     """Macro-steps from ``config``; a successor compacted iff its head is 0."""
     state, cells, head = config
     out: list[TapeConfig] = []
-    for rule, pos in enabled_deletions(Kind.RIGHT, rules_from.get(state, ()), cells[head:]):
+    for rule, pos in enabled_deletions(_RIGHT, rules_from.get(state, ()), cells[head:]):
         lo, hi = head + pos, head + pos + len(rule.word)
         if hi < len(cells):
             # Unread cells remain: mark the word, park the head just past it.
@@ -108,24 +110,30 @@ def lba_run(aut: Automaton, word: str) -> tuple[bool, SpaceReport]:
         return True, SpaceReport(max_cells, 0, 0)
 
     limit = budget = engine.MAX_STORED_SYMBOLS
-    worst_steps = worst_compactions = 0
-    visited: set[TapeConfig] | None = None
-    queue: deque[tuple[TapeConfig, int, int]] = deque(((start, 0, 0),))
-    while queue:
-        config, depth, compactions = queue.popleft()
+    depth = compactions = 0
+    steps = _machine_successors(rules_from, start)
+    while len(steps) == 1:
+        (config,) = steps
+        depth += 1
+        compactions += not config.head
+        if not config.cells and config.state in finals:
+            return True, SpaceReport(max_cells, compactions, depth)
         steps = _machine_successors(rules_from, config)
-        if visited is None and len(steps) > 1:
-            visited = set()
+    if not steps:
+        return False, SpaceReport(max_cells, compactions, depth)
+    worst_steps, worst_compactions = depth, compactions
+    visited: set[TapeConfig] = set()
+    queue: deque[tuple[TapeConfig, int, int]] = deque()
+    while True:
         for nxt in steps:
-            if visited is not None:
-                if nxt in visited:
-                    continue
-                visited.add(nxt)
-                budget -= len(nxt.cells) + 1
-                if budget < 0:
-                    raise SearchLimitError(
-                        f"gave up after storing {limit} symbols on input of length {len(word)}"
-                    )
+            if nxt in visited:
+                continue
+            visited.add(nxt)
+            budget -= len(nxt.cells) + 1
+            if budget < 0:
+                raise SearchLimitError(
+                    f"gave up after storing {limit} symbols on input of length {len(word)}"
+                )
             nxt_depth = depth + 1
             nxt_compactions = compactions + (not nxt.head)
             worst_steps = max(worst_steps, nxt_depth)
@@ -133,5 +141,7 @@ def lba_run(aut: Automaton, word: str) -> tuple[bool, SpaceReport]:
             if not nxt.cells and nxt.state in finals:
                 return True, SpaceReport(max_cells, worst_compactions, worst_steps)
             queue.append((nxt, nxt_depth, nxt_compactions))
-    return False, SpaceReport(max_cells, worst_compactions, worst_steps)
-
+        if not queue:
+            return False, SpaceReport(max_cells, worst_compactions, worst_steps)
+        config, depth, compactions = queue.popleft()
+        steps = _machine_successors(rules_from, config)

@@ -1,15 +1,20 @@
 """Command-line behavior: verdict exit codes, deterministic output."""
 
+import io
 import random
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from jumpfa import cli
 from jumpfa.cli import run_cli
 from jumpfa.core import make_automaton, serialize_automaton
-from jumpfa.oracles import CORPUS_CLAIMS
+from jumpfa.oracles import CORPUS_CLAIMS, ORACLES
 
 
 def run(capsys, *argv):
@@ -317,3 +322,99 @@ class TestSharedParser:
         assert shared == fresh
         codes = [code for code, _, _ in shared[: len(self.ARGVS)]]
         assert codes == [0, 2, 1, 0, 0, 2, 2, 0, 0, 1]
+
+
+CORPUS = Path(cli.__file__).parent / "corpus"
+# What a mutation inserts as a line or splices into one: line breaks that
+# str.splitlines() honours, a byte-order mark, a NUL, a byte that is not
+# UTF-8 (written through surrogateescape), comment and key separators, the
+# empty-word token, and fragments of real directives.
+SPLICES = (
+    "\x00", "\ufeff", "\x85", "\r", "\udcff", "#", ":", "<eps>", "é", " ", "\t",
+    "q0", "ab", "rule:", "rule: q0 a q0", "kind: gll", "final:", "alphabet: abc",
+)
+
+
+@st.composite
+def mutated_machines(draw):
+    """A corpus file with a few lines deleted, inserted or spliced."""
+    name = draw(st.sampled_from(list(CORPUS_CLAIMS)))
+    lines = (CORPUS / f"{name}.jfa").read_text("utf-8").splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(("delete", "insert", "splice")))
+        at = draw(st.integers(0, len(lines)))
+        if op == "delete" and at < len(lines):
+            del lines[at]
+        elif op == "insert" or at == len(lines):
+            lines.insert(at, draw(st.sampled_from(SPLICES + tuple(lines))))
+        else:
+            line = lines[at]
+            cut = draw(st.integers(0, len(line)))
+            lines[at] = line[:cut] + draw(st.sampled_from(SPLICES)) + line[cut:]
+    return "\n".join(lines) + draw(st.sampled_from(("\n", "")))
+
+
+# "--" after "--" is drawn on its own: some argparse versions hand it over as [].
+WORDS = st.one_of(
+    st.sampled_from(("<eps>", "--")),
+    st.lists(st.sampled_from(("a", "b", "c", "-", "#", "<eps>", "é", " ")), max_size=6).map(
+        "".join
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def machine_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+class TestBadInput:
+    """Whatever a machine file or a word holds, a command ends at once with
+    exit code 0, 1 or 2, and exit 2 carries one diagnostic line or
+    argparse's usage block, never a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mutated_machines(),
+        mutated_machines(),
+        WORDS,
+        st.booleans(),
+        st.integers(0, 3),
+        st.sampled_from((None, *sorted(ORACLES))),
+    )
+    def test_every_file_command_ends_in_a_verdict_or_one_diagnostic(
+        self, machine_dir, text, other_text, word, dashes, max_len, oracle
+    ):
+        machine, other = machine_dir / "machine.jfa", machine_dir / "other.jfa"
+        machine.write_text(text, "utf-8", "surrogateescape")
+        other.write_text(other_text, "utf-8", "surrogateescape")
+        file, n = str(machine), str(max_len)
+        word_args = ["--", word] if dashes else [word]
+        comparand = [str(other)] if oracle is None else ["--oracle", oracle]
+        for argv in (
+            ["validate", file],
+            ["member", file, *word_args],
+            ["trace", file, *word_args],
+            ["lba", file, *word_args],
+            ["enumerate", file, "--max-len", n],
+            ["reverse", file],
+            ["compare", file, *comparand, "--max-len", n],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            started = time.perf_counter()
+            try:
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = run_cli(argv)
+            except (Exception, SystemExit) as exc:
+                raise AssertionError(f"{exc!r} escaped run_cli{argv}") from exc
+            assert time.perf_counter() - started < 2, argv
+            assert code in (0, 1, 2), (argv, code)
+            if code == 2:
+                lines = err.getvalue().splitlines()
+                usage = (
+                    len(lines) > 1
+                    and lines[0].startswith("usage: jumpfa ")
+                    and lines[-1].startswith(f"jumpfa {argv[0]}: error: ")
+                )
+                one_line = len(lines) == 1 and lines[0].startswith("error: ")
+                assert usage or one_line, (argv, err.getvalue())

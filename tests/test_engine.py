@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from jumpfa import engine
+from jumpfa import engine, lba
 from jumpfa.core import JumpfaError, Kind, Rule, SymbolOutsideAlphabetError, make_automaton
 from jumpfa.engine import (
     Configuration,
@@ -30,7 +30,12 @@ from jumpfa.engine import (
 )
 from jumpfa.lba import SpaceReport, lba_run
 from jumpfa.oracles import CORPUS_CLAIMS, load_bundled, oracle_difference, oracle_eval
-from jumpfa.transforms import language_difference, reverse_automaton
+from jumpfa.transforms import (
+    is_unit_rule,
+    language_difference,
+    one_way_reference_member,
+    reverse_automaton,
+)
 
 
 class TestConfigurations:
@@ -141,6 +146,38 @@ class TestSuccessors:
                 kept = [s for s in successors(aut, config) if s[1].state in aut.live]
                 step = engine._successors(aut.kind, aut.rules_from, config, aut.live)
                 assert step == kept, config
+
+    def test_no_step_reads_a_kind_member(self, monkeypatch):
+        # A step compares the kind with a module global bound at import: an
+        # Enum member read costs about ten times as much on Python 3.11.
+        class Unread:
+            def __getattr__(self, name):
+                raise AssertionError(f"a step read Kind.{name}")
+
+        grl = load_bundled("nonrowj-grl")  # branches on a and aa, and returns
+        gll = reverse_automaton(grl)
+        configs = [
+            (aut, config, config.right if aut is grl else config.left)
+            for aut, word in ((grl, "aabbab"), (gll, "babbaa"))
+            for config in sorted(helpers.walk_configs(aut, word))
+        ]
+        tapes = [tape for tape, _, _ in helpers.walk_tape_edges(grl, "aabbab")]
+
+        def steps():
+            out = []
+            for aut, config, text in configs:
+                rules = aut.rules_from.get(config.state, ())
+                out.append(engine._successors(aut.kind, aut.rules_from, config, aut.live))
+                out.append(engine.enabled_deletions(aut.kind, rules, text))
+            for tape in tapes:
+                out.append(lba._machine_successors(grl.rules_from, tape))
+            return out
+
+        expected = steps()
+        assert any(len(step) > 1 for step in expected)
+        monkeypatch.setattr(engine, "Kind", Unread())
+        monkeypatch.setattr(lba, "Kind", Unread())
+        assert steps() == expected
 
 
 def assert_traces_replay(search):
@@ -561,7 +598,10 @@ class TestNaiveAgreement:
 
 def naive_member(aut, word):
     """Memoized reachability over the naive successor relation: a second,
-    independent route to the membership verdict."""
+    independent route to the membership verdict. The return is taken by its
+    literal condition: text was jumped over, and no word readable in the
+    state occurs ahead."""
+    grl = aut.kind is Kind.RIGHT
     seen = set()
     stack = [initial_config(aut, word)]
     while stack:
@@ -572,9 +612,10 @@ def naive_member(aut, word):
         if helpers.is_accepting(aut, config):
             return True
         stack.extend(nxt for _, nxt in naive_consume_successors(aut, config))
-        ret = helpers.return_step(aut, config)
-        if ret is not None:
-            stack.append(ret[1])
+        jumped, state, ahead = config if grl else config[::-1]
+        if jumped and not any(r.word in ahead for r in aut.rules if r.src == state):
+            text = config.left + config.right
+            stack.append(Configuration("", state, text) if grl else Configuration(text, state, ""))
     return False
 
 
@@ -607,12 +648,22 @@ class TestSmallScope:
         assert len(machines) == 1734
         words = list(iter_words("ab", 5))
         assert len(words) == 63
+        unit_rule = 0
         for aut in machines:
             decide = engine._decider(aut)
+            unit = is_unit_rule(aut)
+            unit_rule += unit
             for word in words:
                 expected = naive_member(aut, word)
-                verdicts = (member(aut, word)[0], shortest_trace(aut, word)[0], decide(word))
-                assert verdicts == (expected,) * 3, (aut.kind, aut.finals, aut.rules, word)
+                verdicts = (
+                    member(aut, word)[0],
+                    shortest_trace(aut, word)[0],
+                    decide(word),
+                    lba_run(aut, word)[0],
+                    one_way_reference_member(aut, word) if unit else expected,
+                )
+                assert verdicts == (expected,) * 5, (aut.kind, aut.finals, aut.rules, word)
+        assert unit_rule == 198
 
 
 class TestInvariants:
@@ -847,6 +898,7 @@ class TestSearchStorage:
                 raise AssertionError("a search that never branched built a frontier")
 
         monkeypatch.setattr(engine, "deque", NoFrontier)
+        monkeypatch.setattr(lba, "deque", NoFrontier)
         accepted, rejected = "a" * 300 + "b" * 300, "a" * 300 + "b" * 299 + "a"
         for name in ("dyck-grl", "dyck-gll"):
             aut = load_bundled(name)
@@ -855,6 +907,8 @@ class TestSearchStorage:
                 assert search(aut, accepted)[0]
                 assert search(aut, rejected) == (False, None)
             assert decide(accepted) and not decide(rejected)
+            assert lba_run(aut, accepted) == (True, SpaceReport(602, 300, 599))
+            assert lba_run(aut, rejected)[0] is False
 
 
 class TestVerdictPath:
