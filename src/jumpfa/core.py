@@ -110,6 +110,10 @@ class Automaton(_AutomatonFields):
       along the rules. No configuration in any other state can lead to
       acceptance, and every successor of such a configuration is again in a
       state outside ``live``.
+    * ``loops`` maps each final state whose only rule loops on it to the
+      rule's word; a state whose only rule loops is live only if final.
+    * ``reversal`` flips the kind and reverses every rule word, with no
+      validation: the reversal of a valid automaton is valid.
 
     Its fields are read-only, and no other attribute can be set either.
     """
@@ -137,6 +141,17 @@ class Automaton(_AutomatonFields):
                     live.add(rule.src)
                     grew = True
         return frozenset(live)
+
+    @cached_property
+    def loops(self) -> Mapping[str, str]:
+        finals = ((q, self.rules_from[q]) for q in self.finals)
+        return {q: rules[0].word for q, rules in finals if len(rules) == 1 and rules[0].dst == q}
+
+    @cached_property
+    def reversal(self) -> Automaton:
+        kind = Kind.LEFT if self.kind is Kind.RIGHT else Kind.RIGHT
+        rules = tuple(Rule(r.src, r.word[::-1], r.dst) for r in self.rules)
+        return Automaton(kind, self.alphabet, self.states, self.start, self.finals, rules)
 
 
 def make_automaton(

@@ -19,7 +19,10 @@ the input and returns never repeat, so the graph is acyclic and the search
 terminates. The search keeps no frontier and stores nothing until it
 branches: while each expansion yields at most one live successor the run
 cannot meet itself, so on a machine with one rule per state it follows that
-successor and keeps only the moves it has made. A
+successor and keeps only the moves it has made. Run for the verdict only, as
+the sweeps run it, such a run ends at once in a final state whose only rule
+loops on it (``Automaton.loops``): each pass there deletes every occurrence
+ahead, as one ``str.replace`` does (``str.rsplit`` for ``gll``). A
 :class:`Trace` holds its start configuration and its moves, and replays its
 configurations from the moves, through the search's own step, when they are
 first read. A move is the
@@ -72,7 +75,7 @@ MAX_STORED_SYMBOLS = 20_000_000
 MAX_SWEEP_SYMBOLS = 200_000_000
 # Fewest words per share for each fork the caller makes: a sweep of w words runs
 # in isqrt(w // SHARE_WORDS) processes at most, so one of 4,096 words forks once.
-# A fork round trip costs about 2 ms on a 2-CPU Linux VM, some 400 swept words.
+# A fork round trip costs about 2 ms on a 2-CPU Linux VM, 800-2,200 swept words.
 SHARE_WORDS = 2**10
 # The right-linear kind, read once: on Python 3.11 reading an Enum member
 # costs about ten times a module global, and every step tests the kind.
@@ -317,6 +320,7 @@ def _decider(aut: Automaton) -> Callable[[str], bool]:
     """The verdict of :func:`member` for the bounded sweeps, which record no
     moves and build no :class:`Trace`. The word must be over ``aut.alphabet``
     and is not checked: every sweep enumerates the automaton's own alphabet.
+    A run that reaches a loop state before it branches ends by whole passes.
     """
     start = aut.start
     if aut.kind is Kind.RIGHT:
@@ -360,14 +364,19 @@ def _search(
     expanded. The budget charges only what enters the visited set, its
     symbols plus one each: before it exists the run is one path of at most
     2n + 1 moves, since each consume shrinks the input and no return follows
-    one.
+    one. With ``record`` false that path ends at once in a state of
+    ``aut.loops``, whose verdict :func:`_drained` reads off the text; it
+    stores nothing, so no :class:`SearchLimitError` changes.
     """
     finals, live, rules_from, kind = aut.finals, aut.live, aut.rules_from, aut.kind
+    loops = () if record else aut.loops
     left, state, right = start
     if state not in live:
         return False, None
     if not left and not right and state in finals:
         return True, Trace(kind, start, ()) if record else None
+    if state in loops:
+        return _drained(kind, loops[state], left, right), None
     path: _Path = None
     steps = _successors(kind, rules_from, start, live)
     while len(steps) == 1:
@@ -376,6 +385,8 @@ def _search(
             path = (move, path)
         if not config.left and not config.right and config.state in finals:
             return True, Trace(kind, start, _moves(path)) if record else None
+        if loops and config.state in loops:
+            return _drained(kind, loops[config.state], config.left, config.right), None
         steps = _successors(kind, rules_from, config, live)
     if not steps:
         return False, None
@@ -403,6 +414,18 @@ def _search(
         else:
             config = take(frontier)
         steps = _successors(kind, rules_from, config, live)
+
+
+def _drained(kind: Kind, word: str, left: str, right: str) -> bool:
+    """Whether a final state whose only rule loops on it, deleting ``word``,
+    accepts from ``(left, state, right)``. A pass deletes each occurrence
+    ahead in scan order, as ``str.replace`` (``grl``) or ``str.rsplit``
+    (``gll``) does; then the return wraps all the text for the next pass."""
+    grl = kind is _RIGHT
+    text = left + right.replace(word, "") if grl else "".join(left.rsplit(word)) + right
+    while word in text:
+        text = text.replace(word, "") if grl else "".join(text.rsplit(word))
+    return not text
 
 
 def _moves(path: _Path) -> tuple[Move, ...]:

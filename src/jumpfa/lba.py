@@ -1,8 +1,8 @@
 """Marked-tape linear-bounded realization of the engine, for both kinds.
 
 The machine itself is right-linear. A left-linear automaton runs as its
-reversal (:func:`jumpfa.transforms.reverse_automaton`) on the reversed word:
-reversal mirrors both the language and the step relation.
+reversal (``Automaton.reversal``, built once per automaton) on the reversed
+word: reversal mirrors both the language and the step relation.
 
 The machine works on the input word between two end markers and never
 allocates beyond it. A deletion is performed in two stages: each cell of the
@@ -44,7 +44,6 @@ from typing import Mapping, NamedTuple
 from . import engine
 from .core import Automaton, Kind, Rule, check_word
 from .engine import _RIGHT, SearchLimitError, enabled_deletions, member  # noqa: F401 (the bench tracer wraps member)
-from .transforms import reverse_automaton
 
 MARK = "#"  # a consumed cell awaiting compaction; never an input symbol
 
@@ -101,7 +100,7 @@ def lba_run(aut: Automaton, word: str) -> tuple[bool, SpaceReport]:
     """
     check_word(aut, word)
     if aut.kind is Kind.LEFT:
-        aut, word = reverse_automaton(aut), word[::-1]
+        aut, word = aut.reversal, word[::-1]
     rules_from, finals = aut.rules_from, aut.finals
 
     start = TapeConfig(aut.start, word, 0)

@@ -665,6 +665,49 @@ class TestSmallScope:
                 assert verdicts == (expected,) * 5, (aut.kind, aut.finals, aut.rules, word)
         assert unit_rule == 198
 
+    def test_the_cached_reversal_is_the_validated_one(self):
+        for aut in small_scope_automata():
+            assert aut.reversal == reverse_automaton(aut)
+            assert aut.reversal is aut.reversal
+
+
+def loop_automata():
+    """Every ``grl`` machine over ``ab`` whose run ends in a final state with
+    one rule, a loop on a word of length 1-3: the lone state q0 loops, or the
+    start q0 enters q1 by one rule of a word of length <= 2 and q1 loops.
+    Their reversals are the ``gll`` machines of the same shapes."""
+    loops = [w for w in iter_words("ab", 3) if w]
+    entries = [w for w in iter_words("ab", 2) if w]
+    for x in loops:
+        yield make_automaton("grl", "ab", ["q0"], "q0", ["q0"], [("q0", x, "q0")])
+        for y in entries:
+            rules = [("q0", y, "q1"), ("q1", x, "q1")]
+            yield make_automaton("grl", "ab", ["q0", "q1"], "q0", ["q1"], rules)
+
+
+class TestLoopStates:
+    """The verdict path decides a run that reaches a loop state by deleting
+    whole passes at once; ``gll`` passes delete from the right, which differs
+    from ``str.replace`` on self-overlapping words (``aba`` on ``aababa``)."""
+
+    def test_every_loop_decides_as_the_naive_search(self):
+        machines = list(loop_automata())
+        assert len(machines) == 14 * 7
+        words = list(iter_words("ab", 7))
+        assert len(words) == 255
+        for aut in machines:
+            mirror = aut.reversal
+            assert list(aut.loops.values()) == [aut.rules[-1].word]
+            assert list(mirror.loops.values()) == [mirror.rules[-1].word]
+            grl, gll = engine._decider(aut), engine._decider(mirror)
+            for word in words:
+                # The mirror decides the reversed word alike (reversal
+                # duality), so one naive search checks both kinds.
+                expected = naive_member(aut, word)
+                back = word[::-1]
+                verdicts = (grl(word), member(aut, word)[0], gll(back), member(mirror, back)[0])
+                assert verdicts == (expected,) * 4, (aut.rules, word)
+
 
 class TestInvariants:
     @settings(max_examples=250, deadline=None)
@@ -755,21 +798,33 @@ class TestDeadStatePruning:
         assert member(aut, word) == (False, None)
 
 
+def successor_log(search, aut, word):
+    """The verdict of ``search(aut, word)`` and the configurations it
+    expanded, as calls of the engine's successor step in call order: each
+    call's state, and whether the search had branched before it, that is,
+    whether an earlier call yielded two or more successors."""
+    log = []
+    branched = False
+    step = engine._successors
+
+    def logged(kind, rules_from, config, keep):
+        nonlocal branched
+        log.append((config[1], branched))
+        steps = step(kind, rules_from, config, keep)
+        branched = branched or len(steps) > 1
+        return steps
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_successors", logged)
+        accepted, _ = search(aut, word)
+    return accepted, log
+
+
 def successor_calls(search, aut, word):
     """The verdict of ``search(aut, word)`` and how many configurations it
     expanded, counted as calls of the engine's successor step."""
-    calls = 0
-    step = engine._successors
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return step(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_successors", counted)
-        accepted, _ = search(aut, word)
-    return accepted, calls
+    accepted, log = successor_log(search, aut, word)
+    return accepted, len(log)
 
 
 def assert_expands_each_live_configuration_once(aut, word):
@@ -789,8 +844,20 @@ def assert_depth_first_agrees(aut, word):
     accepted, trace = member(aut, word)
     shortest_accepted, shortest = shortest_trace(aut, word)
     assert accepted == shortest_accepted
-    # The verdict path decides alike and expands the same configurations.
-    assert successor_calls(verdict_search, aut, word) == successor_calls(member, aut, word)
+    # The verdict path decides alike and expands the configurations member
+    # expands, save one kind: it decides a run that reaches a loop state
+    # before the search branches at once, so it never expands a loop state
+    # there. After a branch both expand alike, since the frontier search is
+    # the same. With no loop state the two lists are equal.
+    verdict, expanded = successor_log(verdict_search, aut, word)
+    _, member_expanded = successor_log(member, aut, word)
+    assert verdict == accepted
+    assert not any(state in aut.loops and not branched for state, branched in expanded)
+    assert expanded == [
+        (state, branched)
+        for state, branched in member_expanded
+        if branched or state not in aut.loops
+    ]
     if accepted:
         assert_replays(aut, word, trace)
         assert len(trace.moves) >= len(shortest.moves)
