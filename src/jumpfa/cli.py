@@ -8,6 +8,7 @@ All output is deterministic for fixed inputs. The empty word is written
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from functools import cache
 from pathlib import Path
@@ -190,6 +191,13 @@ def run_cli(argv: list[str]) -> int:
 
 
 def main() -> None:
+    """The ``jumpfa`` console script. A reader that goes away before the
+    output ends (``jumpfa enumerate ... | head -1``) ends the process quietly
+    by the default action of ``SIGPIPE``, as it ends other Unix tools:
+    nothing on stderr, exit status 128 + 13 in the shell. :func:`run_cli`
+    runs in-process and leaves the signal as it finds it."""
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run_cli(sys.argv[1:]))
 
 

@@ -112,6 +112,10 @@ class Automaton(_AutomatonFields):
       state outside ``live``.
     * ``loops`` maps each final state whose only rule loops on it to the
       rule's word; a state whose only rule loops is live only if final.
+    * ``units`` maps each state that has rules, all of one symbol, to
+      ``(skip, {symbol: rule})``: ``skip`` holds, in alphabet order, the
+      symbols the state cannot read. Rule keys are unique per state, so
+      each symbol has at most one rule.
     * ``reversal`` flips the kind and reverses every rule word, with no
       validation: the reversal of a valid automaton is valid.
 
@@ -146,6 +150,15 @@ class Automaton(_AutomatonFields):
     def loops(self) -> Mapping[str, str]:
         finals = ((q, self.rules_from[q]) for q in self.finals)
         return {q: rules[0].word for q, rules in finals if len(rules) == 1 and rules[0].dst == q}
+
+    @cached_property
+    def units(self) -> Mapping[str, tuple[str, Mapping[str, Rule]]]:
+        units = {}
+        for q, rules in self.rules_from.items():
+            if rules and all(len(r.word) == 1 for r in rules):
+                table = {r.word: r for r in rules}
+                units[q] = ("".join(a for a in self.alphabet if a not in table), table)
+        return units
 
     @cached_property
     def reversal(self) -> Automaton:

@@ -36,7 +36,14 @@ find the nearest occurrence of each rule word once; a rule fires iff its
 occurrence starts before the earliest end among all of them (``grl``), or
 ends after the latest start (``gll``). The return jump is enabled iff no
 readable word occurs ahead. :func:`naive_consume_successors` spells out the
-literal side conditions instead and serves as the specification.
+literal side conditions instead and serves as the specification. A state
+whose rules each read one symbol (``Automaton.units``), as every state of
+the original one-way jumping automaton does, has at most one enabled
+deletion: the rule of the nearest symbol it can read. Every search step and
+:func:`successors` find it with one strip of the symbols the state cannot
+read (``str.lstrip``, ``str.rstrip`` for ``gll``) and one lookup; only a
+:class:`Trace`'s replay, which steps through one-rule tables, keeps the
+general rule.
 
 The search prunes dead states, those from which no final state is reachable
 along the rules (``Automaton.live`` holds the others). One step builds only
@@ -75,7 +82,8 @@ MAX_STORED_SYMBOLS = 20_000_000
 MAX_SWEEP_SYMBOLS = 200_000_000
 # Fewest words per share for each fork the caller makes: a sweep of w words runs
 # in isqrt(w // SHARE_WORDS) processes at most, so one of 4,096 words forks once.
-# A fork round trip costs about 2 ms on a 2-CPU Linux VM, 800-2,200 swept words.
+# A fork round trip costs about 2 ms on a 2-CPU Linux VM: 950-1,600 swept words
+# at the 1.4-2.0 us a word, both verdicts, of the bench's forked sweeps.
 SHARE_WORDS = 2**10
 # The right-linear kind, read once: on Python 3.11 reading an Enum member
 # costs about ten times a module global, and every step tests the kind.
@@ -141,13 +149,13 @@ class Trace(_TraceFields):
         for index, move in enumerate(self.moves):
             state = config[1]  # the start may be a plain tuple
             if move is None:
-                steps = _successors(self.kind, {}, config, ())
+                steps = _successors(self.kind, {}, config, (), {})
                 if not steps:
                     raise JumpfaError(f"move {index}, a return, has no text jumped over to wrap")
             elif move.src != state:
                 raise JumpfaError(f"move {index}, {move}, does not leave state {state!r}")
             else:
-                steps = _successors(self.kind, {move.src: (move,)}, config, (move.dst,))
+                steps = _successors(self.kind, {move.src: (move,)}, config, (move.dst,), {})
                 if not steps or steps[0][0] is None:
                     raise JumpfaError(f"move {index}, {move}, finds no {move.word!r} ahead")
             config = steps[0][1]
@@ -210,15 +218,34 @@ def _successors(
     rules_from: Mapping[str, tuple[Rule, ...]],
     config: Configuration,
     keep: Container[str],
+    units: Mapping[str, tuple[str, Mapping[str, Rule]]],
 ) -> list[tuple[Move, Configuration]]:
     """The successors of ``config`` whose state is in ``keep``, which holds
     ``config.state``: a consume is built only when its rule enters ``keep``.
     The return jump is offered only when no deletion is enabled at all, kept
-    or not."""
+    or not.
+
+    A state in ``units`` (``Automaton.units``, or empty for the general rule
+    alone) reads single symbols only, so its one enabled deletion is the rule
+    of the nearest symbol it can read: one strip of the symbols it cannot
+    read finds it, and one lookup gives the rule. Nothing left after the
+    strip means nothing readable ahead. A symbol outside the alphabet stops
+    the strip and goes to the general rule."""
     left, state, right = config
     rules = rules_from.get(state, ())
     out: list[tuple[Move, Configuration]] = []
     if kind is _RIGHT:
+        if state in units:
+            skip, table = units[state]
+            rest = right.lstrip(skip)
+            rule = table.get(rest[:1])
+            if rule is not None:
+                if rule.dst not in keep:
+                    return out
+                jumped = right[: len(right) - len(rest)]
+                return [(rule, Configuration(left + jumped, rule.dst, rest[1:]))]
+            if not rest:
+                return [(None, Configuration("", state, left + right))] if left else out
         hits = enabled_deletions(kind, rules, right)
         for rule, pos in hits:
             if rule.dst in keep:
@@ -228,6 +255,16 @@ def _successors(
             out.append((None, Configuration("", state, left + right)))
     else:
         # Mirror image: scan the left buffer from its right end.
+        if state in units:
+            skip, table = units[state]
+            rest = left.rstrip(skip)
+            rule = table.get(rest[-1:])
+            if rule is not None:
+                if rule.dst not in keep:
+                    return out
+                return [(rule, Configuration(rest[:-1], rule.dst, left[len(rest):] + right))]
+            if not rest:
+                return [(None, Configuration(left + right, state, ""))] if right else out
         hits = enabled_deletions(kind, rules, left)
         for rule, pos in hits:
             if rule.dst in keep:
@@ -240,7 +277,7 @@ def _successors(
 
 def successors(aut: Automaton, config: Configuration) -> list[tuple[Move, Configuration]]:
     """Every one-step successor: deletions in rule order, then the return jump."""
-    return _successors(aut.kind, aut.rules_from, config, aut.states)
+    return _successors(aut.kind, aut.rules_from, config, aut.states, aut.units)
 
 
 def naive_consume_successors(
@@ -366,7 +403,9 @@ def _search(
     2n + 1 moves, since each consume shrinks the input and no return follows
     one. With ``record`` false that path ends at once in a state of
     ``aut.loops``, whose verdict :func:`_drained` reads off the text; it
-    stores nothing, so no :class:`SearchLimitError` changes.
+    stores nothing, so no :class:`SearchLimitError` changes. Every step
+    passes ``aut.units`` to :func:`_successors`, which returns the same
+    successors in fewer operations.
     """
     finals, live, rules_from, kind = aut.finals, aut.live, aut.rules_from, aut.kind
     loops = () if record else aut.loops
@@ -377,8 +416,9 @@ def _search(
         return True, Trace(kind, start, ()) if record else None
     if state in loops:
         return _drained(kind, loops[state], left, right), None
+    units = aut.units
     path: _Path = None
-    steps = _successors(kind, rules_from, start, live)
+    steps = _successors(kind, rules_from, start, live, units)
     while len(steps) == 1:
         (move, config), = steps
         if record:
@@ -387,7 +427,7 @@ def _search(
             return True, Trace(kind, start, _moves(path)) if record else None
         if loops and config.state in loops:
             return _drained(kind, loops[config.state], config.left, config.right), None
-        steps = _successors(kind, rules_from, config, live)
+        steps = _successors(kind, rules_from, config, live, units)
     if not steps:
         return False, None
     limit = budget = MAX_STORED_SYMBOLS
@@ -413,7 +453,7 @@ def _search(
             config, path = take(frontier)
         else:
             config = take(frontier)
-        steps = _successors(kind, rules_from, config, live)
+        steps = _successors(kind, rules_from, config, live, units)
 
 
 def _drained(kind: Kind, word: str, left: str, right: str) -> bool:

@@ -1,7 +1,11 @@
 """Command-line behavior: verdict exit codes, deterministic output."""
 
 import io
+import os
 import random
+import signal
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -322,6 +326,29 @@ class TestSharedParser:
         assert shared == fresh
         codes = [code for code, _, _ in shared[: len(self.ARGVS)]]
         assert codes == [0, 2, 1, 0, 0, 2, 2, 0, 0, 1]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_reader_that_goes_away_ends_the_script_quietly(unbuffered):
+    # The read end closes before the script writes its first line, so the
+    # first write fails: at exit when stdout is buffered, at once when not.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["enumerate", "dyck-grl", "--max-len", "13"]
+    script = "from jumpfa.cli import main; main()"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (-signal.SIGPIPE, b"")
 
 
 CORPUS = Path(cli.__file__).parent / "corpus"

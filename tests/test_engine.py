@@ -7,7 +7,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from itertools import chain, combinations, zip_longest
+from itertools import chain, combinations, product, zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -144,8 +144,51 @@ class TestSuccessors:
         for config in helpers.walk_configs(aut, word):
             if config.state in aut.live:
                 kept = [s for s in successors(aut, config) if s[1].state in aut.live]
-                step = engine._successors(aut.kind, aut.rules_from, config, aut.live)
-                assert step == kept, config
+                for units in ({}, aut.units):
+                    step = engine._successors(aut.kind, aut.rules_from, config, aut.live, units)
+                    assert step == kept, (config, units)
+
+    def test_unit_step_equals_the_general_rule(self):
+        # Every state p reading a nonempty subset of abc, one symbol per rule,
+        # each rule entering the kept q or the dropped d; every buffer up to
+        # length 3, and up to length 2 with a foreign z, on either side. Only
+        # the rule of the nearest readable symbol can fire, so the other
+        # rules' destinations do not matter: two complementary destination
+        # patterns per subset send each rule once into q and once into d.
+        plain = list(iter_words("abc", 3))
+        foreign = [w[:i] + "z" + w[i:] for w in iter_words("abc", 1) for i in range(len(w) + 1)]
+        buffers = plain + foreign
+        configs = [Configuration(left, "p", right) for left in buffers for right in buffers]
+        step, keep = engine._successors, {"p", "q"}
+        for kind in Kind:
+            for size in (1, 2, 3):
+                for letters, dsts in product(combinations("abc", size), ("qdq", "dqd")):
+                    rules = [("p", x, dst) for x, dst in zip(letters, dsts)]
+                    aut = make_automaton(kind, "abc", ["p", "q", "d"], "p", ["q"], rules)
+                    units, rules_from = aut.units, aut.rules_from
+                    assert set(units) == {"p"}
+                    fast = [step(kind, rules_from, c, keep, units) for c in configs]
+                    general = [step(kind, rules_from, c, keep, {}) for c in configs]
+                    if fast != general:
+                        c, got, want = next(t for t in zip(configs, fast, general) if t[1] != t[2])
+                        pytest.fail(f"{kind.value} {rules} at {c}: {got} != {want}")
+
+    def test_unit_table_holds_the_states_with_one_symbol_rules_only(self):
+        tables = {name: set(aut.units) for name, aut in helpers.corpus().items()}
+        assert tables["cdyck-grl"] == tables["dc-gll"] == {"q0"}
+        assert tables["example1-rowj"] == {"q0", "q2", "q3"}
+        assert tables["nonrowj-grl"] == {"q1", "q2", "q3", "q4"}
+        for name in ("exrl-grl", "exrl-gll", "dyck-grl", "dyck-gll"):
+            assert tables[name] == set(), name
+        # The rules of bench/machines/onestate-q0final.jfa.
+        onestate = make_automaton(
+            "gll", "ab", ["q0"], "q0", ["q0"],
+            [("q0", w, "q0") for w in ("abb", "aaa", "ba", "aab", "bb", "ab")],
+        )
+        assert onestate.units == {}
+        skip, table = load_bundled("example1-rowj").units["q2"]
+        assert (skip, table) == ("b", {"a": Rule("q2", "a", "q3")})
+        assert load_bundled("cdyck-grl").units["q0"][0] == ""
 
     def test_no_step_reads_a_kind_member(self, monkeypatch):
         # A step compares the kind with a module global bound at import: an
@@ -162,12 +205,15 @@ class TestSuccessors:
             for config in sorted(helpers.walk_configs(aut, word))
         ]
         tapes = [tape for tape, _, _ in helpers.walk_tape_edges(grl, "aabbab")]
+        # The one-symbol step runs in q1-q4, the general one in q0.
+        assert {config.state for _, config, _ in configs} == {"q0", *grl.units}
 
         def steps():
             out = []
             for aut, config, text in configs:
                 rules = aut.rules_from.get(config.state, ())
-                out.append(engine._successors(aut.kind, aut.rules_from, config, aut.live))
+                step = engine._successors(aut.kind, aut.rules_from, config, aut.live, aut.units)
+                out.append(step)
                 out.append(engine.enabled_deletions(aut.kind, rules, text))
             for tape in tapes:
                 out.append(lba._machine_successors(grl.rules_from, tape))
@@ -807,10 +853,10 @@ def successor_log(search, aut, word):
     branched = False
     step = engine._successors
 
-    def logged(kind, rules_from, config, keep):
+    def logged(kind, rules_from, config, keep, units):
         nonlocal branched
         log.append((config[1], branched))
-        steps = step(kind, rules_from, config, keep)
+        steps = step(kind, rules_from, config, keep, units)
         branched = branched or len(steps) > 1
         return steps
 
