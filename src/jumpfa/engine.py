@@ -19,11 +19,13 @@ the input and returns never repeat, so the graph is acyclic and the search
 terminates. The search keeps no frontier and stores nothing until it
 branches: while each expansion yields at most one live successor the run
 cannot meet itself, so on a machine with one rule per state it follows that
-successor and keeps only the moves it has made. Run for the verdict only, as
-the sweeps run it, such a run ends at once in a final state whose only rule
-loops on it (``Automaton.loops``): each pass there deletes every occurrence
-ahead, as one ``str.replace`` does (``str.rsplit`` for ``gll``). A
-:class:`Trace` holds its start configuration and its moves, and replays its
+successor and keeps only the moves it has made. The search returns the
+verdict and those moves, and :func:`member` and :func:`shortest_trace` alone
+make them a :class:`Trace`. The sweeps read the verdict only, so their runs
+may end at once in a final state whose only rule loops on it
+(``Automaton.loops``): each pass there deletes every occurrence ahead, as
+one ``str.replace`` does (``str.rsplit`` for ``gll``). A :class:`Trace`
+holds its start configuration and its moves, and replays its
 configurations from the moves, through the search's own step, when they are
 first read. A move is the
 :class:`~jumpfa.core.Rule` a consume applies, ``(src, word, dst)``, since a
@@ -340,7 +342,7 @@ def member(aut: Automaton, word: str) -> tuple[bool, Trace | None]:
     configurations, so :data:`MAX_STORED_SYMBOLS` gives up on exactly the same
     rejected inputs.
     """
-    return _search(aut, initial_config(aut, word), deque.pop, True)
+    return _traced(aut, word, deque.pop)
 
 
 def shortest_trace(aut: Automaton, word: str) -> tuple[bool, Trace | None]:
@@ -350,32 +352,47 @@ def shortest_trace(aut: Automaton, word: str) -> tuple[bool, Trace | None]:
     branches resolve in rule declaration order with the return jump last, so
     the returned trace is reproducible.
     """
-    return _search(aut, initial_config(aut, word), deque.popleft, True)
+    return _traced(aut, word, deque.popleft)
+
+
+def _traced(aut: Automaton, word: str, take: Callable) -> tuple[bool, Trace | None]:
+    """:func:`_search` with no loop state, its path made a :class:`Trace`.
+    A trace lists every move, so a run ended by whole passes would have to
+    spell them out again. When ``member`` took that shortcut anyway, the
+    bench's ``long`` workload decided 1.56x as many words a second, but its
+    ``peak_rss_mb``, which grows with the rounds a run completes, rose past
+    its bound."""
+    start = initial_config(aut, word)
+    accepted, path = _search(aut, start, take, ())
+    return accepted, Trace(aut.kind, start, _moves(path)) if accepted else None
 
 
 def _decider(aut: Automaton) -> Callable[[str], bool]:
-    """The verdict of :func:`member` for the bounded sweeps, which record no
-    moves and build no :class:`Trace`. The word must be over ``aut.alphabet``
-    and is not checked: every sweep enumerates the automaton's own alphabet.
-    A run that reaches a loop state before it branches ends by whole passes.
+    """The verdict of :func:`member` for the bounded sweeps, which read no
+    path. The word must be over ``aut.alphabet`` and is not checked: every
+    sweep enumerates the automaton's own alphabet. A run that reaches a state
+    of ``aut.loops`` before it branches ends there by whole passes.
     """
-    start = aut.start
+    start, loops = aut.start, aut.loops
     if aut.kind is Kind.RIGHT:
-        return lambda word: _search(aut, ("", start, word), deque.pop, False)[0]
-    return lambda word: _search(aut, (word, start, ""), deque.pop, False)[0]
+        return lambda word: _search(aut, ("", start, word), deque.pop, loops)[0]
+    return lambda word: _search(aut, (word, start, ""), deque.pop, loops)[0]
 
 
 def _search(
     aut: Automaton,
     start: tuple[str, str, str],
     take: Callable[[deque], object],
-    record: bool,
-) -> tuple[bool, Trace | None]:
+    loops: Mapping[str, str] | tuple[()],
+) -> tuple[bool, _Path]:
     """The search behind :func:`member`, :func:`shortest_trace` and the
     sweeps' :func:`_decider`, from ``start``; ``take`` picks the next
-    configuration to expand from the frontier. With ``record`` false the
-    search decides only: a frontier entry is a bare configuration, and
-    acceptance returns ``(True, None)``.
+    configuration to expand from the frontier. It returns the verdict and,
+    on acceptance, the moves that reached a bare final state as a linked path
+    (``None`` for the start itself). ``loops`` holds the states of
+    ``aut.loops`` in which a run may end by whole passes, as :func:`_drained`
+    reads them off the text; such a verdict comes with no path. The sweeps
+    pass ``aut.loops``, and :func:`_traced` passes none.
 
     Configurations whose state is not in ``aut.live`` are never built, stored
     or expanded: each step asks :func:`_successors` for the live successors
@@ -388,32 +405,29 @@ def _search(
     graph is acyclic, so while every expansion has yielded at most one live
     successor the live configurations found form one path that cannot meet
     itself, and dead ones are never stored: the search follows that one
-    successor, with the same accept check, and with ``record`` links each
-    move onto the path. At the first expansion that yields two or more live
-    successors it creates the visited set and the frontier, which starts with
-    that expansion's successors, and goes on as a frontier search; the order
-    of expansion is the one a frontier from the start would give. Every
+    successor, with the same accept check, and links each move onto the
+    path. At the first expansion that yields two or more live successors it
+    creates the visited set and the frontier, which starts with that
+    expansion's successors, and goes on as a frontier search; the order of
+    expansion is the one a frontier from the start would give. Every
     configuration discovered from then on goes into the visited set; none
     found earlier can be reached again, being an ancestor of all that follow.
     So every live reachable configuration is still expanded exactly once.
-    With ``record`` each frontier entry carries the moves that reached it as
-    a linked path, ``(move, parent_path)``, so no configuration is kept once
-    expanded. The budget charges only what enters the visited set, its
-    symbols plus one each: before it exists the run is one path of at most
-    2n + 1 moves, since each consume shrinks the input and no return follows
-    one. With ``record`` false that path ends at once in a state of
-    ``aut.loops``, whose verdict :func:`_drained` reads off the text; it
-    stores nothing, so no :class:`SearchLimitError` changes. Every step
-    passes ``aut.units`` to :func:`_successors`, which returns the same
-    successors in fewer operations.
+    Each frontier entry is ``(configuration, path)``, the path linked as
+    ``(move, parent_path)``, so no configuration is kept once expanded. The
+    budget charges only what enters the visited set, its symbols plus one
+    each: before it exists the run is one path of at most 2n + 1 moves,
+    since each consume shrinks the input and no return follows one. A loop
+    state ends that path and stores nothing, so no :class:`SearchLimitError`
+    changes. Every step passes ``aut.units`` to :func:`_successors`, which
+    returns the same successors in fewer operations.
     """
     finals, live, rules_from, kind = aut.finals, aut.live, aut.rules_from, aut.kind
-    loops = () if record else aut.loops
     left, state, right = start
     if state not in live:
         return False, None
     if not left and not right and state in finals:
-        return True, Trace(kind, start, ()) if record else None
+        return True, None
     if state in loops:
         return _drained(kind, loops[state], left, right), None
     units = aut.units
@@ -421,10 +435,9 @@ def _search(
     steps = _successors(kind, rules_from, start, live, units)
     while len(steps) == 1:
         (move, config), = steps
-        if record:
-            path = (move, path)
+        path = (move, path)
         if not config.left and not config.right and config.state in finals:
-            return True, Trace(kind, start, _moves(path)) if record else None
+            return True, path
         if loops and config.state in loops:
             return _drained(kind, loops[config.state], config.left, config.right), None
         steps = _successors(kind, rules_from, config, live, units)
@@ -445,14 +458,11 @@ def _search(
                     f" on input of length {len(left) + len(right)}"
                 )
             if not nxt.left and not nxt.right and nxt.state in finals:
-                return True, Trace(kind, start, _moves((move, path))) if record else None
-            frontier.append((nxt, (move, path)) if record else nxt)
+                return True, (move, path)
+            frontier.append((nxt, (move, path)))
         if not frontier:
             return False, None
-        if record:
-            config, path = take(frontier)
-        else:
-            config = take(frontier)
+        config, path = take(frontier)
         steps = _successors(kind, rules_from, config, live, units)
 
 
@@ -498,7 +508,7 @@ def differences(
     of length <= max_len, in :func:`iter_words` order, on which the two
     verdicts differ. ``first`` is called before ``second`` on each word.
     The package's sweeps pass an automaton's verdicts as :func:`_decider`,
-    which decides a word with no word check, no recorded moves and no trace.
+    which decides a word with no word check and builds no trace.
 
     Raises :class:`SearchLimitError` before calling either when those words
     hold more than :data:`MAX_SWEEP_SYMBOLS` symbols in all. Otherwise it

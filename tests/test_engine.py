@@ -694,22 +694,30 @@ class TestSmallScope:
         assert len(machines) == 1734
         words = list(iter_words("ab", 5))
         assert len(words) == 63
-        unit_rule = 0
+        unit_rule = traced = 0
         for aut in machines:
             decide = engine._decider(aut)
             unit = is_unit_rule(aut)
             unit_rule += unit
             for word in words:
                 expected = naive_member(aut, word)
+                accepted, trace = member(aut, word)
+                shortest_accepted, shortest = shortest_trace(aut, word)
                 verdicts = (
-                    member(aut, word)[0],
-                    shortest_trace(aut, word)[0],
+                    accepted,
+                    shortest_accepted,
                     decide(word),
                     lba_run(aut, word)[0],
                     one_way_reference_member(aut, word) if unit else expected,
                 )
                 assert verdicts == (expected,) * 5, (aut.kind, aut.finals, aut.rules, word)
+                if accepted:
+                    traced += 1
+                    assert_replays(aut, word, trace)
+                    assert_replays(aut, word, shortest)
+                    assert len(shortest.moves) <= len(trace.moves)
         assert unit_rule == 198
+        assert traced == 5852
 
     def test_the_cached_reversal_is_the_validated_one(self):
         for aut in small_scope_automata():
@@ -1025,8 +1033,8 @@ class TestSearchStorage:
 
 
 class TestVerdictPath:
-    """The sweeps decide each word by the one search, recording nothing;
-    ``assert_depth_first_agrees`` checks its verdicts against ``member``."""
+    """The sweeps decide each word by the one search and read its verdict
+    only; ``assert_depth_first_agrees`` checks it against ``member``."""
 
     def test_search_limit_guard(self, monkeypatch):
         assert_stores_ten_symbols_rejecting_aab(monkeypatch, verdict_search)
