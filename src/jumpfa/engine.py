@@ -41,11 +41,14 @@ readable word occurs ahead. :func:`naive_consume_successors` spells out the
 literal side conditions instead and serves as the specification. A state
 whose rules each read one symbol (``Automaton.units``), as every state of
 the original one-way jumping automaton does, has at most one enabled
-deletion: the rule of the nearest symbol it can read. Every search step and
-:func:`successors` find it with one strip of the symbols the state cannot
-read (``str.lstrip``, ``str.rstrip`` for ``gll``) and one lookup; only a
-:class:`Trace`'s replay, which steps through one-rule tables, keeps the
-general rule.
+deletion: the rule of the nearest symbol it can read. :func:`_unit_step`
+finds it with one strip of the symbols the state cannot read
+(``str.lstrip``, ``str.rstrip`` for ``gll``) and one lookup, and returns the
+successor as a plain tuple. Every search step and :func:`successors` take it
+there: the search, bound to an automaton's tables once (:func:`_searcher`),
+calls it directly before it branches and through :func:`_successors`, which
+makes the successor a :class:`Configuration`, after. Only a :class:`Trace`'s
+replay, which steps through one-rule tables, keeps the general rule.
 
 The search prunes dead states, those from which no final state is reachable
 along the rules (``Automaton.live`` holds the others). One step builds only
@@ -215,6 +218,40 @@ def enabled_deletions(kind: Kind, rules: Sequence[Rule], text: str) -> list[tupl
     return [hit for hit in hits if hit[1] + len(hit[0].word) > bound]
 
 
+def _unit_step(
+    grl: bool, unit: tuple[str, Mapping[str, Rule]], keep: Container[str],
+    left: str, state: str, right: str,
+) -> tuple[Move, tuple[str, str, str]] | tuple[()] | None:
+    """The one step of ``(left, state, right)`` in a state whose rules each
+    read one symbol, ``unit`` being its entry of ``Automaton.units``: the
+    move and the successor as a plain tuple, ``()`` when no successor in
+    ``keep`` exists, or ``None`` when a symbol outside the alphabet stops the
+    strip and the general rule must decide.
+
+    Its one enabled deletion is the rule of the nearest symbol it can read:
+    one strip of the symbols it cannot read (``str.lstrip``, ``str.rstrip``
+    for ``gll``) finds it, and one lookup gives the rule. Nothing left after
+    the strip means nothing readable ahead, so the return jump is offered if
+    there is text to wrap."""
+    skip, table = unit
+    if grl:
+        rest = right.lstrip(skip)
+        rule = table.get(rest[:1])
+        if rule is None:
+            return None if rest else ((None, ("", state, left + right)) if left else ())
+        if rule.dst not in keep:
+            return ()
+        return rule, (left + right[: len(right) - len(rest)], rule.dst, rest[1:])
+    # Mirror image: scan the left buffer from its right end.
+    rest = left.rstrip(skip)
+    rule = table.get(rest[-1:])
+    if rule is None:
+        return None if rest else ((None, (left + right, state, "")) if right else ())
+    if rule.dst not in keep:
+        return ()
+    return rule, (rest[:-1], rule.dst, left[len(rest):] + right)
+
+
 def _successors(
     kind: Kind,
     rules_from: Mapping[str, tuple[Rule, ...]],
@@ -228,26 +265,17 @@ def _successors(
     or not.
 
     A state in ``units`` (``Automaton.units``, or empty for the general rule
-    alone) reads single symbols only, so its one enabled deletion is the rule
-    of the nearest symbol it can read: one strip of the symbols it cannot
-    read finds it, and one lookup gives the rule. Nothing left after the
-    strip means nothing readable ahead. A symbol outside the alphabet stops
-    the strip and goes to the general rule."""
+    alone) steps through :func:`_unit_step`, whose successor is made a
+    :class:`Configuration` here; a symbol outside the alphabet sends it to
+    the general rule."""
     left, state, right = config
+    if state in units:
+        step = _unit_step(kind is _RIGHT, units[state], keep, left, state, right)
+        if step is not None:
+            return [(step[0], Configuration._make(step[1]))] if step else []
     rules = rules_from.get(state, ())
     out: list[tuple[Move, Configuration]] = []
     if kind is _RIGHT:
-        if state in units:
-            skip, table = units[state]
-            rest = right.lstrip(skip)
-            rule = table.get(rest[:1])
-            if rule is not None:
-                if rule.dst not in keep:
-                    return out
-                jumped = right[: len(right) - len(rest)]
-                return [(rule, Configuration(left + jumped, rule.dst, rest[1:]))]
-            if not rest:
-                return [(None, Configuration("", state, left + right))] if left else out
         hits = enabled_deletions(kind, rules, right)
         for rule, pos in hits:
             if rule.dst in keep:
@@ -257,16 +285,6 @@ def _successors(
             out.append((None, Configuration("", state, left + right)))
     else:
         # Mirror image: scan the left buffer from its right end.
-        if state in units:
-            skip, table = units[state]
-            rest = left.rstrip(skip)
-            rule = table.get(rest[-1:])
-            if rule is not None:
-                if rule.dst not in keep:
-                    return out
-                return [(rule, Configuration(rest[:-1], rule.dst, left[len(rest):] + right))]
-            if not rest:
-                return [(None, Configuration(left + right, state, ""))] if right else out
         hits = enabled_deletions(kind, rules, left)
         for rule, pos in hits:
             if rule.dst in keep:
@@ -356,14 +374,14 @@ def shortest_trace(aut: Automaton, word: str) -> tuple[bool, Trace | None]:
 
 
 def _traced(aut: Automaton, word: str, take: Callable) -> tuple[bool, Trace | None]:
-    """:func:`_search` with no loop state, its path made a :class:`Trace`.
+    """:func:`_searcher`'s search with no loop state, its path made a :class:`Trace`.
     A trace lists every move, so a run ended by whole passes would have to
     spell them out again. When ``member`` took that shortcut anyway, the
     bench's ``long`` workload decided 1.56x as many words a second, but its
     ``peak_rss_mb``, which grows with the rounds a run completes, rose past
     its bound."""
     start = initial_config(aut, word)
-    accepted, path = _search(aut, start, take, ())
+    accepted, path = _searcher(aut, take, ())(*start)
     return accepted, Trace(aut.kind, start, _moves(path)) if accepted else None
 
 
@@ -373,105 +391,115 @@ def _decider(aut: Automaton) -> Callable[[str], bool]:
     sweep enumerates the automaton's own alphabet. A run that reaches a state
     of ``aut.loops`` before it branches ends there by whole passes.
     """
-    start, loops = aut.start, aut.loops
+    search, start = _searcher(aut, deque.pop, aut.loops), aut.start
     if aut.kind is Kind.RIGHT:
-        return lambda word: _search(aut, ("", start, word), deque.pop, loops)[0]
-    return lambda word: _search(aut, (word, start, ""), deque.pop, loops)[0]
+        return lambda word: search("", start, word)[0]
+    return lambda word: search(word, start, "")[0]
 
 
-def _search(
+def _searcher(
     aut: Automaton,
-    start: tuple[str, str, str],
     take: Callable[[deque], object],
     loops: Mapping[str, str] | tuple[()],
-) -> tuple[bool, _Path]:
+) -> Callable[[str, str, str], tuple[bool, _Path]]:
     """The search behind :func:`member`, :func:`shortest_trace` and the
-    sweeps' :func:`_decider`, from ``start``; ``take`` picks the next
-    configuration to expand from the frontier. It returns the verdict and,
-    on acceptance, the moves that reached a bare final state as a linked path
-    (``None`` for the start itself). ``loops`` holds the states of
-    ``aut.loops`` in which a run may end by whole passes, as :func:`_drained`
-    reads them off the text; such a verdict comes with no path. The sweeps
-    pass ``aut.loops``, and :func:`_traced` passes none.
+    sweeps' :func:`_decider`, bound to ``aut``'s tables once:
+    ``search(left, state, right)`` searches from that configuration; ``take``
+    picks the next configuration to expand from the frontier. It returns the
+    verdict and, on acceptance, the moves that reached a bare final state as
+    a linked path (``None`` for the start itself). ``loops`` holds the
+    states of ``aut.loops`` in which a run may end by whole passes, as
+    :func:`_drained` reads them off the text; such a verdict comes with no
+    path. The sweeps pass ``aut.loops``, and :func:`_traced` passes none.
 
     Configurations whose state is not in ``aut.live`` are never built, stored
-    or expanded: each step asks :func:`_successors` for the live successors
-    only. None of the others can lead to acceptance and all their successors
-    are dead too, so the live configurations are discovered in the same order
-    as by the unpruned search, and verdicts and traces are unchanged. Only the
-    store that :data:`MAX_STORED_SYMBOLS` bounds shrinks.
+    or expanded: each step asks for the live successors only. None of the
+    others can lead to acceptance and all their successors are dead too, so
+    the live configurations are discovered in the same order as by the
+    unpruned search, and verdicts and traces are unchanged. Only the store
+    that :data:`MAX_STORED_SYMBOLS` bounds shrinks.
 
     The search keeps no frontier and stores nothing until it branches. The
     graph is acyclic, so while every expansion has yielded at most one live
     successor the live configurations found form one path that cannot meet
     itself, and dead ones are never stored: the search follows that one
-    successor, with the same accept check, and links each move onto the
-    path. At the first expansion that yields two or more live successors it
-    creates the visited set and the frontier, which starts with that
-    expansion's successors, and goes on as a frontier search; the order of
-    expansion is the one a frontier from the start would give. Every
-    configuration discovered from then on goes into the visited set; none
-    found earlier can be reached again, being an ancestor of all that follow.
-    So every live reachable configuration is still expanded exactly once.
-    Each frontier entry is ``(configuration, path)``, the path linked as
-    ``(move, parent_path)``, so no configuration is kept once expanded. The
-    budget charges only what enters the visited set, its symbols plus one
-    each: before it exists the run is one path of at most 2n + 1 moves,
-    since each consume shrinks the input and no return follows one. A loop
-    state ends that path and stores nothing, so no :class:`SearchLimitError`
-    changes. Every step passes ``aut.units`` to :func:`_successors`, which
-    returns the same successors in fewer operations.
+    successor, held in three locals, with the same accept check, and links
+    each move onto the path. A state of ``aut.units`` steps there through
+    :func:`_unit_step` alone, any other through :func:`_successors`. At the
+    first expansion that yields two or more live successors it creates the
+    visited set and the frontier, which starts with that expansion's
+    successors, and goes on as a frontier search, every step through
+    :func:`_successors`; the order of expansion is the one a frontier from
+    the start would give. Every configuration discovered from then on goes
+    into the visited set; none found earlier can be reached again, being an
+    ancestor of all that follow. So every live reachable configuration is
+    still expanded exactly once. Each frontier entry is ``(configuration,
+    path)``, the path linked as ``(move, parent_path)``, so no configuration
+    is kept once expanded. The budget charges only what enters the visited
+    set, its symbols plus one each: before it exists the run is one path of
+    at most 2n + 1 moves, since each consume shrinks the input and no return
+    follows one. A loop state ends that path and stores nothing, so no
+    :class:`SearchLimitError` changes.
     """
-    finals, live, rules_from, kind = aut.finals, aut.live, aut.rules_from, aut.kind
-    left, state, right = start
-    if state not in live:
-        return False, None
-    if not left and not right and state in finals:
-        return True, None
-    if state in loops:
-        return _drained(kind, loops[state], left, right), None
-    units = aut.units
-    path: _Path = None
-    steps = _successors(kind, rules_from, start, live, units)
-    while len(steps) == 1:
-        (move, config), = steps
-        path = (move, path)
-        if not config.left and not config.right and config.state in finals:
-            return True, path
-        if loops and config.state in loops:
-            return _drained(kind, loops[config.state], config.left, config.right), None
-        steps = _successors(kind, rules_from, config, live, units)
-    if not steps:
-        return False, None
-    limit = budget = MAX_STORED_SYMBOLS
-    seen: set[Configuration] = set()
-    frontier: deque = deque()
-    while True:
-        for move, nxt in steps:
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            budget -= len(nxt.left) + len(nxt.right) + 1
-            if budget < 0:
-                raise SearchLimitError(
-                    f"gave up after storing {limit} symbols"
-                    f" on input of length {len(left) + len(right)}"
-                )
-            if not nxt.left and not nxt.right and nxt.state in finals:
-                return True, (move, path)
-            frontier.append((nxt, (move, path)))
-        if not frontier:
+    finals, live, rules_from, units = aut.finals, aut.live, aut.rules_from, aut.units
+    kind, grl = aut.kind, aut.kind is _RIGHT
+
+    def search(start_left: str, state: str, start_right: str) -> tuple[bool, _Path]:
+        if state not in live:
             return False, None
-        config, path = take(frontier)
-        steps = _successors(kind, rules_from, config, live, units)
+        left, right = start_left, start_right
+        path: _Path = None
+        while True:
+            if not left and not right and state in finals:
+                return True, path
+            if loops and state in loops:
+                return _drained(grl, loops[state], left, right), None
+            if units and state in units:
+                step = _unit_step(grl, units[state], live, left, state, right)
+                if step:
+                    move, (left, state, right) = step
+                    path = (move, path)
+                    continue
+                if step is not None:
+                    return False, None
+            steps = _successors(kind, rules_from, (left, state, right), live, units)
+            if len(steps) != 1:
+                break
+            (move, (left, state, right)), = steps
+            path = (move, path)
+        if not steps:
+            return False, None
+        limit = budget = MAX_STORED_SYMBOLS
+        seen: set[Configuration] = set()
+        frontier: deque = deque()
+        while True:
+            for move, nxt in steps:
+                if nxt in seen:
+                    continue
+                seen.add(nxt)
+                budget -= len(nxt.left) + len(nxt.right) + 1
+                if budget < 0:
+                    raise SearchLimitError(
+                        f"gave up after storing {limit} symbols"
+                        f" on input of length {len(start_left) + len(start_right)}"
+                    )
+                if not nxt.left and not nxt.right and nxt.state in finals:
+                    return True, (move, path)
+                frontier.append((nxt, (move, path)))
+            if not frontier:
+                return False, None
+            config, path = take(frontier)
+            steps = _successors(kind, rules_from, config, live, units)
+
+    return search
 
 
-def _drained(kind: Kind, word: str, left: str, right: str) -> bool:
+def _drained(grl: bool, word: str, left: str, right: str) -> bool:
     """Whether a final state whose only rule loops on it, deleting ``word``,
     accepts from ``(left, state, right)``. A pass deletes each occurrence
     ahead in scan order, as ``str.replace`` (``grl``) or ``str.rsplit``
-    (``gll``) does; then the return wraps all the text for the next pass."""
-    grl = kind is _RIGHT
+    (``gll``) does; then the return wraps all the text for the next pass.
+    ``grl`` is whether the automaton is right-linear."""
     text = left + right.replace(word, "") if grl else "".join(left.rsplit(word)) + right
     while word in text:
         text = text.replace(word, "") if grl else "".join(text.rsplit(word))

@@ -207,6 +207,14 @@ class TestSuccessors:
         tapes = [tape for tape, _, _ in helpers.walk_tape_edges(grl, "aabbab")]
         # The one-symbol step runs in q1-q4, the general one in q0.
         assert {config.state for _, config, _ in configs} == {"q0", *grl.units}
+        # Bound before Kind is patched, as binding reads the kind; each then
+        # searches from every configuration, stepping a one-symbol state
+        # before it branches through _unit_step alone.
+        searches = [
+            (aut, engine._searcher(aut, take, loops))
+            for aut in (grl, gll)
+            for take, loops in ((deque.pop, aut.loops), (deque.popleft, ()))
+        ]
 
         def steps():
             out = []
@@ -217,6 +225,8 @@ class TestSuccessors:
                 out.append(engine.enabled_deletions(aut.kind, rules, text))
             for tape in tapes:
                 out.append(lba._machine_successors(grl.rules_from, tape))
+            for aut, search in searches:
+                out.extend(search(*config) for owner, config, _ in configs if owner is aut)
             return out
 
         expected = steps()
@@ -854,29 +864,41 @@ class TestDeadStatePruning:
 
 def successor_log(search, aut, word):
     """The verdict of ``search(aut, word)`` and the configurations it
-    expanded, as calls of the engine's successor step in call order: each
-    call's state, and whether the search had branched before it, that is,
-    whether an earlier call yielded two or more successors."""
+    expanded, in call order: each expansion's state, and whether the search
+    had branched before it, that is, whether an earlier expansion yielded two
+    or more successors. An expansion is a call of the engine's successor step,
+    or a call of its one-symbol step that the successor step did not make
+    itself and that found the step (a search steps a one-symbol state before
+    it branches through ``_unit_step`` alone)."""
     log = []
-    branched = False
-    step = engine._successors
+    branched = inside = False
+    step, unit_step = engine._successors, engine._unit_step
 
     def logged(kind, rules_from, config, keep, units):
-        nonlocal branched
+        nonlocal branched, inside
         log.append((config[1], branched))
+        inside = True
         steps = step(kind, rules_from, config, keep, units)
+        inside = False
         branched = branched or len(steps) > 1
         return steps
 
+    def logged_unit(grl, unit, keep, left, state, right):
+        found = unit_step(grl, unit, keep, left, state, right)
+        if not inside and found is not None:
+            log.append((state, branched))
+        return found
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_successors", logged)
+        mp.setattr(engine, "_unit_step", logged_unit)
         accepted, _ = search(aut, word)
     return accepted, log
 
 
 def successor_calls(search, aut, word):
     """The verdict of ``search(aut, word)`` and how many configurations it
-    expanded, counted as calls of the engine's successor step."""
+    expanded, counted as :func:`successor_log` logs them."""
     accepted, log = successor_log(search, aut, word)
     return accepted, len(log)
 
@@ -983,6 +1005,21 @@ class TestSearchStorage:
         for word in ("bbaaaab", "bbaaaaaaab", "bbb"):
             assert_expands_each_live_configuration_once(aut, word)
         assert successor_calls(member, aut, "bbaaaaaaab") == (False, 10)
+
+    def test_the_give_up_message_names_the_whole_input(self, monkeypatch):
+        # q0 deletes the b in one one-symbol step, then q1 branches on a and
+        # aa: the search gives up at a branch whose configuration holds 3
+        # symbols, on an input of 4.
+        aut = make_automaton(
+            "grl", "ab", ["q0", "q1"], "q0", ["q1"],
+            [("q0", "b", "q1"), ("q1", "a", "q1"), ("q1", "aa", "q1")],
+        )
+        assert set(aut.units) == {"q0"}
+        monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", 0)
+        message = "^gave up after storing 0 symbols on input of length 4$"
+        for search in (member, shortest_trace, verdict_search):
+            with pytest.raises(SearchLimitError, match=message):
+                search(aut, "baab")
 
     def test_member_memory_follows_the_moves_on_long_balanced_words(self):
         # Linear in the input: a move that stored its skipped text would keep
