@@ -38,17 +38,16 @@ find the nearest occurrence of each rule word once; a rule fires iff its
 occurrence starts before the earliest end among all of them (``grl``), or
 ends after the latest start (``gll``). The return jump is enabled iff no
 readable word occurs ahead. :func:`naive_consume_successors` spells out the
-literal side conditions instead and serves as the specification. A state
-whose rules each read one symbol (``Automaton.units``), as every state of
-the original one-way jumping automaton does, has at most one enabled
-deletion: the rule of the nearest symbol it can read. :func:`_unit_step`
-finds it with one strip of the symbols the state cannot read
-(``str.lstrip``, ``str.rstrip`` for ``gll``) and one lookup, and returns the
-successor as a plain tuple. Every search step and :func:`successors` take it
-there: the search, bound to an automaton's tables once (:func:`_searcher`),
-calls it directly before it branches and through :func:`_successors`, which
-makes the successor a :class:`Configuration`, after. Only a :class:`Trace`'s
-replay, which steps through one-rule tables, keeps the general rule.
+literal side conditions instead and serves as the specification.
+:func:`_step` returns a step with one successor at most as a plain tuple, and
+hands two or more enabled deletions to :func:`_successors`, which builds each
+successor as a :class:`Configuration`. A state whose rules each read one
+symbol (``Automaton.units``), as every state of the original one-way jumping
+automaton does, has at most one: the rule of the nearest symbol it can read,
+found with one strip of the symbols the state cannot read (``str.lstrip``,
+``str.rstrip`` for ``gll``) and one lookup. The search, bound to an
+automaton's tables once (:func:`_searcher`), steps through :func:`_step`
+alone until it branches, and through :func:`_successors` after.
 
 The search prunes dead states, those from which no final state is reachable
 along the rules (``Automaton.live`` holds the others). One step builds only
@@ -218,38 +217,55 @@ def enabled_deletions(kind: Kind, rules: Sequence[Rule], text: str) -> list[tupl
     return [hit for hit in hits if hit[1] + len(hit[0].word) > bound]
 
 
-def _unit_step(
-    grl: bool, unit: tuple[str, Mapping[str, Rule]], keep: Container[str],
+def _step(
+    kind: Kind, rules_from: Mapping[str, tuple[Rule, ...]],
+    units: Mapping[str, tuple[str, Mapping[str, Rule]]], keep: Container[str],
     left: str, state: str, right: str,
-) -> tuple[Move, tuple[str, str, str]] | tuple[()] | None:
-    """The one step of ``(left, state, right)`` in a state whose rules each
-    read one symbol, ``unit`` being its entry of ``Automaton.units``: the
-    move and the successor as a plain tuple, ``()`` when no successor in
-    ``keep`` exists, or ``None`` when a symbol outside the alphabet stops the
-    strip and the general rule must decide.
+) -> tuple[Move, tuple[str, str, str]] | tuple[()] | list[tuple[Rule, int]]:
+    """The step of ``(left, state, right)`` toward the states in ``keep``,
+    which holds ``state``, while it has one successor at most: the move and
+    the successor as a plain tuple, or ``()`` if that successor is not kept
+    or, with no deletion enabled, there is no text to wrap. With two or more
+    enabled deletions it returns them, as :func:`enabled_deletions` lists
+    them, for :func:`_successors`.
 
-    Its one enabled deletion is the rule of the nearest symbol it can read:
-    one strip of the symbols it cannot read (``str.lstrip``, ``str.rstrip``
-    for ``gll``) finds it, and one lookup gives the rule. Nothing left after
-    the strip means nothing readable ahead, so the return jump is offered if
-    there is text to wrap."""
-    skip, table = unit
-    if grl:
-        rest = right.lstrip(skip)
-        rule = table.get(rest[:1])
-        if rule is None:
-            return None if rest else ((None, ("", state, left + right)) if left else ())
-        if rule.dst not in keep:
-            return ()
-        return rule, (left + right[: len(right) - len(rest)], rule.dst, rest[1:])
-    # Mirror image: scan the left buffer from its right end.
-    rest = left.rstrip(skip)
-    rule = table.get(rest[-1:])
+    One :func:`enabled_deletions` call on the buffer the head scans decides.
+    A state of ``units`` (``Automaton.units``, or empty for the general rule
+    alone) has at most one, the rule of the nearest symbol it can read: one
+    strip of the symbols it cannot read (``str.lstrip``, ``str.rstrip`` for
+    ``gll``) and one lookup find it, and nothing left means nothing readable
+    ahead. Only a symbol outside the alphabet that stops the strip leaves it
+    to the general rule. The deletion removes ``[pos, end)`` of that buffer."""
+    grl, rule = kind is _RIGHT, None
+    if state in units:
+        skip, table = units[state]
+        if grl:
+            rest = right.lstrip(skip)
+            rule = table.get(rest[:1])
+            pos = len(right) - len(rest)
+        else:
+            rest = left.rstrip(skip)
+            rule = table.get(rest[-1:])
+            pos = len(rest) - 1
+        end = pos + 1
     if rule is None:
-        return None if rest else ((None, (left + right, state, "")) if right else ())
+        # Not a one-symbol state, or a symbol outside the alphabet stopped the strip.
+        if state not in units or rest:
+            hits = enabled_deletions(kind, rules_from.get(state, ()), right if grl else left)
+            if len(hits) > 1:
+                return hits
+            if hits:
+                (rule, pos), = hits
+                end = pos + len(rule.word)
+        if rule is None:
+            if grl:
+                return (None, ("", state, left + right)) if left else ()
+            return (None, (left + right, state, "")) if right else ()
     if rule.dst not in keep:
         return ()
-    return rule, (rest[:-1], rule.dst, left[len(rest):] + right)
+    if grl:
+        return rule, (left + right[:pos], rule.dst, right[end:])
+    return rule, (left[:pos], rule.dst, left[end:] + right)
 
 
 def _successors(
@@ -258,25 +274,24 @@ def _successors(
     config: Configuration,
     keep: Container[str],
     units: Mapping[str, tuple[str, Mapping[str, Rule]]],
+    hits: list[tuple[Rule, int]] | None = None,
 ) -> list[tuple[Move, Configuration]]:
     """The successors of ``config`` whose state is in ``keep``, which holds
     ``config.state``: a consume is built only when its rule enters ``keep``.
     The return jump is offered only when no deletion is enabled at all, kept
-    or not.
-
-    A state in ``units`` (``Automaton.units``, or empty for the general rule
-    alone) steps through :func:`_unit_step`, whose successor is made a
-    :class:`Configuration` here; a symbol outside the alphabet sends it to
-    the general rule."""
+    or not. ``hits`` is what :func:`_step` returned on ``config`` if it found
+    two or more deletions. A state in ``units`` (``Automaton.units``, or
+    empty) steps through :func:`_step`, its successor made a
+    :class:`Configuration` here."""
     left, state, right = config
-    if state in units:
-        step = _unit_step(kind is _RIGHT, units[state], keep, left, state, right)
-        if step is not None:
+    if hits is None:
+        if state in units:
+            step = _step(kind, rules_from, units, keep, left, state, right)
             return [(step[0], Configuration._make(step[1]))] if step else []
-    rules = rules_from.get(state, ())
+        text = right if kind is _RIGHT else left
+        hits = enabled_deletions(kind, rules_from.get(state, ()), text)
     out: list[tuple[Move, Configuration]] = []
     if kind is _RIGHT:
-        hits = enabled_deletions(kind, rules, right)
         for rule, pos in hits:
             if rule.dst in keep:
                 after = Configuration(left + right[:pos], rule.dst, right[pos + len(rule.word):])
@@ -285,7 +300,6 @@ def _successors(
             out.append((None, Configuration("", state, left + right)))
     else:
         # Mirror image: scan the left buffer from its right end.
-        hits = enabled_deletions(kind, rules, left)
         for rule, pos in hits:
             if rule.dst in keep:
                 after = Configuration(left[:pos], rule.dst, left[pos + len(rule.word):] + right)
@@ -379,8 +393,10 @@ def _traced(aut: Automaton, word: str, take: Callable) -> tuple[bool, Trace | No
     spell them out again. When ``member`` took that shortcut anyway, the
     bench's ``long`` workload decided 1.56x as many words a second, but its
     ``peak_rss_mb``, which grows with the rounds a run completes, rose past
-    its bound."""
+    its bound. A dead start rejects before the search reads any table."""
     start = initial_config(aut, word)
+    if aut.start not in aut.live:
+        return False, None
     accepted, path = _searcher(aut, take, ())(*start)
     return accepted, Trace(aut.kind, start, _moves(path)) if accepted else None
 
@@ -424,8 +440,8 @@ def _searcher(
     successor the live configurations found form one path that cannot meet
     itself, and dead ones are never stored: the search follows that one
     successor, held in three locals, with the same accept check, and links
-    each move onto the path. A state of ``aut.units`` steps there through
-    :func:`_unit_step` alone, any other through :func:`_successors`. At the
+    each move onto the path. Every state steps there through :func:`_step`
+    alone; two or more enabled deletions go to :func:`_successors`. At the
     first expansion that yields two or more live successors it creates the
     visited set and the frontier, which starts with that expansion's
     successors, and goes on as a frontier search, every step through
@@ -454,18 +470,16 @@ def _searcher(
                 return True, path
             if loops and state in loops:
                 return _drained(grl, loops[state], left, right), None
-            if units and state in units:
-                step = _unit_step(grl, units[state], live, left, state, right)
-                if step:
-                    move, (left, state, right) = step
-                    path = (move, path)
-                    continue
-                if step is not None:
-                    return False, None
-            steps = _successors(kind, rules_from, (left, state, right), live, units)
-            if len(steps) != 1:
-                break
-            (move, (left, state, right)), = steps
+            step = _step(kind, rules_from, units, live, left, state, right)
+            if step.__class__ is list:
+                steps = _successors(kind, rules_from, (left, state, right), live, units, step)
+                if len(steps) != 1:
+                    break
+                (move, (left, state, right)), = steps
+            elif step:
+                move, (left, state, right) = step
+            else:
+                return False, None
             path = (move, path)
         if not steps:
             return False, None

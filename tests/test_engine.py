@@ -149,29 +149,49 @@ class TestSuccessors:
                     assert step == kept, (config, units)
 
     def test_unit_step_equals_the_general_rule(self):
-        # Every state p reading a nonempty subset of abc, one symbol per rule,
-        # each rule entering the kept q or the dropped d; every buffer up to
-        # length 3, and up to length 2 with a foreign z, on either side. Only
-        # the rule of the nearest readable symbol can fire, so the other
-        # rules' destinations do not matter: two complementary destination
-        # patterns per subset send each rule once into q and once into d.
-        plain = list(iter_words("abc", 3))
-        foreign = [w[:i] + "z" + w[i:] for w in iter_words("abc", 1) for i in range(len(w) + 1)]
-        buffers = plain + foreign
-        configs = [Configuration(left, "p", right) for left in buffers for right in buffers]
-        step, keep = engine._successors, {"p", "q"}
+        # State p with rules entering the kept q or the dropped d, in two
+        # complementary destination patterns, so each rule once enters q and
+        # once d: every nonempty subset of abc, one symbol per rule (the
+        # strip-and-lookup step), over every buffer up to length 3; and every
+        # one or two words of length <= 2 over ab (a/aa, ab/ba, ab/b, ...),
+        # over every buffer up to length 4. Each also with a foreign z put
+        # anywhere in a word up to length 1 (abc) or 2 (ab), on either side.
+        # The step is the lone kept successor, or (), when
+        # enabled_deletions finds at most one deletion, and returns the
+        # deletions it found exactly when there are two or more.
+        symbols = [c for size in (1, 2, 3) for c in combinations("abc", size)]
+        short = [c for size in (1, 2) for c in combinations(list(iter_words("ab", 2))[1:], size)]
+        families = []
+        for letters, length, zlength, sets in (("abc", 3, 1, symbols), ("ab", 4, 2, short)):
+            zs = [w[:i] + "z" + w[i:] for w in iter_words(letters, zlength)
+                  for i in range(len(w) + 1)]
+            buffers = list(iter_words(letters, length)) + zs
+            configs = [Configuration(left, "p", right) for left in buffers for right in buffers]
+            families.append((letters, configs, sets))
+        keep, branched = {"p", "q"}, 0
         for kind in Kind:
-            for size in (1, 2, 3):
-                for letters, dsts in product(combinations("abc", size), ("qdq", "dqd")):
-                    rules = [("p", x, dst) for x, dst in zip(letters, dsts)]
-                    aut = make_automaton(kind, "abc", ["p", "q", "d"], "p", ["q"], rules)
-                    units, rules_from = aut.units, aut.rules_from
-                    assert set(units) == {"p"}
-                    fast = [step(kind, rules_from, c, keep, units) for c in configs]
-                    general = [step(kind, rules_from, c, keep, {}) for c in configs]
-                    if fast != general:
-                        c, got, want = next(t for t in zip(configs, fast, general) if t[1] != t[2])
-                        pytest.fail(f"{kind.value} {rules} at {c}: {got} != {want}")
+            for letters, configs, sets in families:
+                for words, dsts in product(sets, ("qdq", "dqd")):
+                    rules = [("p", x, dst) for x, dst in zip(words, dsts)]
+                    aut = make_automaton(kind, letters, ["p", "q", "d"], "p", ["q"], rules)
+                    rules_from, units = aut.rules_from, aut.units
+                    assert set(units) == ({"p"} if max(map(len, words)) == 1 else set())
+                    # A one-symbol state also steps by the general rule alone.
+                    tables = (units, {}) if units else (units,)
+                    for c in configs:
+                        text = c.right if kind is Kind.RIGHT else c.left
+                        hits = engine.enabled_deletions(kind, rules_from["p"], text)
+                        want = hits
+                        if len(hits) < 2:
+                            want = engine._successors(kind, rules_from, c, keep, {})
+                        for table in tables:
+                            step = got = engine._step(kind, rules_from, table, keep, *c)
+                            if step.__class__ is tuple:
+                                got = [(step[0], Configuration._make(step[1]))] if step else []
+                            if got != want or (len(hits) > 1) != (step.__class__ is list):
+                                pytest.fail(f"{kind.value} {rules} at {c}: {step}, want {want}")
+                        branched += len(hits) > 1
+        assert branched > 0
 
     def test_unit_table_holds_the_states_with_one_symbol_rules_only(self):
         tables = {name: set(aut.units) for name, aut in helpers.corpus().items()}
@@ -208,8 +228,8 @@ class TestSuccessors:
         # The one-symbol step runs in q1-q4, the general one in q0.
         assert {config.state for _, config, _ in configs} == {"q0", *grl.units}
         # Bound before Kind is patched, as binding reads the kind; each then
-        # searches from every configuration, stepping a one-symbol state
-        # before it branches through _unit_step alone.
+        # searches from every configuration, stepping every state before it
+        # branches through _step alone.
         searches = [
             (aut, engine._searcher(aut, take, loops))
             for aut in (grl, gll)
@@ -861,37 +881,50 @@ class TestDeadStatePruning:
         monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", 0)
         assert member(aut, word) == (False, None)
 
+    def test_dead_start_rejects_without_building_the_search_tables(self):
+        # The rules of bench/machines/onestate-nofinal.jfa: no final state.
+        for search in (member, shortest_trace):
+            aut = make_automaton(
+                "gll", "ab", ["q0"], "q0", [],
+                [("q0", w, "q0") for w in ("abb", "aaa", "ba", "aab", "bb", "ab")],
+            )
+            assert search(aut, "abba") == (False, None)
+            assert "rules_from" not in aut.__dict__ and "units" not in aut.__dict__
+            with pytest.raises(SymbolOutsideAlphabetError):
+                search(aut, "abc")
+
 
 def successor_log(search, aut, word):
     """The verdict of ``search(aut, word)`` and the configurations it
     expanded, in call order: each expansion's state, and whether the search
     had branched before it, that is, whether an earlier expansion yielded two
-    or more successors. An expansion is a call of the engine's successor step,
-    or a call of its one-symbol step that the successor step did not make
-    itself and that found the step (a search steps a one-symbol state before
-    it branches through ``_unit_step`` alone)."""
+    or more successors. An expansion is a call of the engine's successor
+    function that is given no enabled deletions, or a call of its step that
+    the successor function did not make itself. A search steps every state
+    through ``_step`` alone until it branches, handing the deletions that
+    ``_step`` found to ``_successors`` where it may branch."""
     log = []
     branched = inside = False
-    step, unit_step = engine._successors, engine._unit_step
+    successors, step = engine._successors, engine._step
 
-    def logged(kind, rules_from, config, keep, units):
+    def logged(kind, rules_from, config, keep, units, hits=None):
         nonlocal branched, inside
-        log.append((config[1], branched))
+        if hits is None:
+            log.append((config[1], branched))
         inside = True
-        steps = step(kind, rules_from, config, keep, units)
+        steps = successors(kind, rules_from, config, keep, units, hits)
         inside = False
         branched = branched or len(steps) > 1
         return steps
 
-    def logged_unit(grl, unit, keep, left, state, right):
-        found = unit_step(grl, unit, keep, left, state, right)
-        if not inside and found is not None:
+    def logged_step(kind, rules_from, units, keep, left, state, right):
+        if not inside:
             log.append((state, branched))
-        return found
+        return step(kind, rules_from, units, keep, left, state, right)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_successors", logged)
-        mp.setattr(engine, "_unit_step", logged_unit)
+        mp.setattr(engine, "_step", logged_step)
         accepted, _ = search(aut, word)
     return accepted, log
 
