@@ -16,48 +16,34 @@ ahead of the same position), so acceptance is existential over branches and
 stopping at the first accepting run it finds. :func:`shortest_trace` runs the
 same search breadth-first, for a shortest run. Every consume strictly shrinks
 the input and returns never repeat, so the graph is acyclic and the search
-terminates. The search keeps no frontier and stores nothing until it
-branches: while each expansion yields at most one live successor the run
-cannot meet itself, so on a machine with one rule per state it follows that
-successor and keeps only the moves it has made. The search returns the
-verdict and those moves, and :func:`member` and :func:`shortest_trace` alone
-make them a :class:`Trace`. The sweeps read the verdict only, so their runs
-may end at once in a final state whose only rule loops on it
-(``Automaton.loops``): each pass there deletes every occurrence ahead, as
-one ``str.replace`` does (``str.rsplit`` for ``gll``). A :class:`Trace`
-holds its start configuration and its moves, and replays its
-configurations from the moves, through the search's own step, when they are
-first read. A move is the
-:class:`~jumpfa.core.Rule` a consume applies, ``(src, word, dst)``, since a
-rule fires only at the nearest occurrence of its word, or ``None`` for the
-return, which applies no rule. Configurations and traces are named tuples,
-and a :class:`Trace` is ``(kind, start, moves)``.
+terminates. It stores nothing until it branches (:func:`_searcher`), and
+the sweeps, which read its verdict alone, run it too (:func:`_decider`). A
+move is the :class:`~jumpfa.core.Rule` a consume applies, ``(src, word,
+dst)``, since a rule fires only at the nearest occurrence of its word, or
+``None`` for the return, which applies no rule. Configurations and traces
+are named tuples; a :class:`Trace` is ``(kind, start, moves)`` and replays
+its configurations from the moves.
 
 One consume rule decides every deletion of a step (:func:`enabled_deletions`):
 find the nearest occurrence of each rule word once; a rule fires iff its
 occurrence starts before the earliest end among all of them (``grl``), or
 ends after the latest start (``gll``). The return jump is enabled iff no
 readable word occurs ahead. :func:`naive_consume_successors` spells out the
-literal side conditions instead and serves as the specification.
-:func:`_step` returns a step with one successor at most as a plain tuple, and
-hands two or more enabled deletions to :func:`_successors`, which builds each
-successor as a :class:`Configuration`. A state whose rules each read one
-symbol (``Automaton.units``), as every state of the original one-way jumping
-automaton does, has at most one: the rule of the nearest symbol it can read,
-found with one strip of the symbols the state cannot read (``str.lstrip``,
-``str.rstrip`` for ``gll``) and one lookup. The search, bound to an
-automaton's tables once (:func:`_searcher`), steps through :func:`_step`
-alone until it branches, and through :func:`_successors` after.
+literal side conditions instead and serves as the specification. A state's
+rules are fixed, so its step is compiled once per automaton, as a closure
+(:func:`_compile_step`, ``Automaton.live_steps``): one ``find`` for one rule;
+one strip of the symbols the state cannot read (``str.lstrip``,
+``str.rstrip`` for ``gll``) and one lookup for rules of one symbol each, as
+in the original one-way jumping automaton; :func:`enabled_deletions` for any
+other. A step returns one successor at most as a plain tuple, and hands two
+or more enabled deletions to :func:`_successors`, which builds each.
 
 The search prunes dead states, those from which no final state is reachable
-along the rules (``Automaton.live`` holds the others). One step builds only
-the successors whose state is live; a deletion into a dead state is still
-found, since it blocks the return jump like any other. Dead configurations
-only lead to dead ones, so never building them changes neither verdicts nor
-the traces found. The marked-tape machine in :mod:`jumpfa.lba` does not
-prune: its space report describes the whole unpruned search, and it stays an
-independent check of this engine for both kinds, running a left-linear
-automaton as its right-linear reversal.
+along the rules (``Automaton.live`` holds the others): a step builds only the
+successors whose state is live, though a deletion into a dead state still
+blocks the return jump. The marked-tape machine in :mod:`jumpfa.lba` does not
+prune, and it stays an independent check of this engine for both kinds,
+running a left-linear automaton as its right-linear reversal.
 """
 
 from __future__ import annotations
@@ -86,8 +72,8 @@ MAX_STORED_SYMBOLS = 20_000_000
 MAX_SWEEP_SYMBOLS = 200_000_000
 # Fewest words per share for each fork the caller makes: a sweep of w words runs
 # in isqrt(w // SHARE_WORDS) processes at most, so one of 4,096 words forks once.
-# A fork round trip costs about 2 ms on a 2-CPU Linux VM: 950-1,600 swept words
-# at the 1.4-2.0 us a word, both verdicts, of the bench's forked sweeps.
+# A fork round trip costs 1.4-2.3 ms on a 2-CPU Linux VM: 700-2,200 swept words
+# at the 1.0-2.2 us a word, both verdicts, of the bench's two largest sweeps.
 SHARE_WORDS = 2**10
 # The right-linear kind, read once: on Python 3.11 reading an Enum member
 # costs about ten times a module global, and every step tests the kind.
@@ -110,6 +96,9 @@ class Configuration(NamedTuple):
 # A consume is the rule it applies; the return jump applies none.
 Move = Rule | None
 
+# What a compiled step returns (see _compile_step).
+_Stepped = tuple[Move, tuple[str, str, str]] | tuple[()] | list[tuple[Rule, int]]
+
 # The moves that reached a configuration, last first: ``(move, parent_path)``,
 # with ``None`` at the start configuration.
 _Path = tuple[Move, "_Path"] | None
@@ -127,20 +116,19 @@ class Trace(_TraceFields):
     last configuration is a bare final state.
 
     A consume move is its rule, which can fire only at the nearest occurrence
-    of its word, and a return is ``None`` and wraps by ``kind``, so
-    ``configs`` is replayed from the moves when it is first read, and cached
-    on the value, outside the tuple. The replay takes each move through the
-    search's own step, :func:`_successors`: a consume as the only rule of its
-    state, a return with no rule at all. It raises :class:`JumpfaError` on a
-    consume whose rule does not leave the current state or whose word does
-    not occur ahead of the head, and on a return with no text jumped over to
-    wrap (an empty left buffer for ``grl``, right one for ``gll``). A trace
-    carries no automaton, so the replay cannot check that a move was enabled:
-    that no nearer readable word blocked a consume, or that nothing readable
-    lay ahead of a return, or that the last state is final. Like every other
-    record, a trace unpacks, compares, hashes and prints as the tuple of its
-    fields. Its fields are read-only, and no other attribute can be set
-    either.
+    of its word, and a return is ``None`` and wraps by ``kind``, so ``configs``
+    is replayed from the moves when it is first read, and cached on the value,
+    outside the tuple. The replay steps as the search does
+    (:func:`_compile_step`): a consume through the one-rule shape, a return
+    through a state with no rules. It raises :class:`JumpfaError` on a consume
+    whose rule does not leave the current state or whose word does not occur
+    ahead of the head, and on a return with no text jumped over to wrap (an
+    empty left buffer for ``grl``, right one for ``gll``). A trace carries no
+    automaton, so the replay cannot check that a move was enabled: that no
+    nearer readable word blocked a consume, or that nothing readable lay ahead
+    of a return, or that the last state is final. Like every other record, a
+    trace unpacks, compares, hashes and prints as the tuple of its fields. Its
+    fields are read-only, and no other attribute can be set either.
     """
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -148,21 +136,25 @@ class Trace(_TraceFields):
 
     @cached_property
     def configs(self) -> tuple[Configuration, ...]:
-        config = self.start
+        config, steps = self.start, {}  # each rule's step, and each state's return
         configs = [config]
         for index, move in enumerate(self.moves):
-            state = config[1]  # the start may be a plain tuple
+            left, state, right = config
             if move is None:
-                steps = _successors(self.kind, {}, config, (), {})
-                if not steps:
+                if state not in steps:
+                    steps[state] = _compile_step(self.kind, state, (), (), ())
+                step = steps[state](left, right)
+                if not step:
                     raise JumpfaError(f"move {index}, a return, has no text jumped over to wrap")
             elif move.src != state:
                 raise JumpfaError(f"move {index}, {move}, does not leave state {state!r}")
             else:
-                steps = _successors(self.kind, {move.src: (move,)}, config, (move.dst,), {})
-                if not steps or steps[0][0] is None:
+                if move not in steps:
+                    steps[move] = _compile_step(self.kind, state, (move,), (move.dst,), ())
+                step = steps[move](left, right)
+                if not step or step[0] is None:
                     raise JumpfaError(f"move {index}, {move}, finds no {move.word!r} ahead")
-            config = steps[0][1]
+            config = Configuration._make(step[1])
             configs.append(config)
         return tuple(configs)
 
@@ -217,101 +209,107 @@ def enabled_deletions(kind: Kind, rules: Sequence[Rule], text: str) -> list[tupl
     return [hit for hit in hits if hit[1] + len(hit[0].word) > bound]
 
 
-def _step(
-    kind: Kind, rules_from: Mapping[str, tuple[Rule, ...]],
-    units: Mapping[str, tuple[str, Mapping[str, Rule]]], keep: Container[str],
-    left: str, state: str, right: str,
-) -> tuple[Move, tuple[str, str, str]] | tuple[()] | list[tuple[Rule, int]]:
-    """The step of ``(left, state, right)`` toward the states in ``keep``,
-    which holds ``state``, while it has one successor at most: the move and
-    the successor as a plain tuple, or ``()`` if that successor is not kept
-    or, with no deletion enabled, there is no text to wrap. With two or more
-    enabled deletions it returns them, as :func:`enabled_deletions` lists
-    them, for :func:`_successors`.
+def _compile_step(
+    kind: Kind, state: str, rules: Sequence[Rule], keep: Container[str], alphabet: Sequence[str],
+) -> Callable[[str, str], _Stepped]:
+    """The step of ``state``, whose rules are ``rules``, toward the states in
+    ``keep``, which holds ``state``: ``step(left, right)`` returns the move
+    and the successor as a plain tuple, ``()`` if that successor is not kept
+    or there is no text to wrap, or the two or more enabled deletions, as
+    :func:`enabled_deletions` lists them. It reads the kind, the rules and
+    ``keep`` once, here, into one of three shapes:
 
-    One :func:`enabled_deletions` call on the buffer the head scans decides.
-    A state of ``units`` (``Automaton.units``, or empty for the general rule
-    alone) has at most one, the rule of the nearest symbol it can read: one
-    strip of the symbols it cannot read (``str.lstrip``, ``str.rstrip`` for
-    ``gll``) and one lookup find it, and nothing left means nothing readable
-    ahead. Only a symbol outside the alphabet that stops the strip leaves it
-    to the general rule. The deletion removes ``[pos, end)`` of that buffer."""
-    grl, rule = kind is _RIGHT, None
-    if state in units:
-        skip, table = units[state]
-        if grl:
-            rest = right.lstrip(skip)
-            rule = table.get(rest[:1])
-            pos = len(right) - len(rest)
-        else:
-            rest = left.rstrip(skip)
-            rule = table.get(rest[-1:])
-            pos = len(rest) - 1
-        end = pos + 1
-    if rule is None:
-        # Not a one-symbol state, or a symbol outside the alphabet stopped the strip.
-        if state not in units or rest:
-            hits = enabled_deletions(kind, rules_from.get(state, ()), right if grl else left)
-            if len(hits) > 1:
-                return hits
-            if hits:
-                (rule, pos), = hits
-                end = pos + len(rule.word)
-        if rule is None:
+    * one rule: one ``find`` of its word (``rfind`` for ``gll``);
+    * rules of one symbol each: one strip of the symbols of ``alphabet`` the
+      state cannot read (``str.lstrip``, ``str.rstrip`` for ``gll``) and one
+      lookup, or the last shape if a symbol outside ``alphabet`` stops it;
+    * any other: :func:`enabled_deletions` on the buffer the head scans.
+    """
+    grl = kind is _RIGHT
+    if len(rules) == 1:
+        (rule,) = rules
+        word, dst, size, kept = rule.word, rule.dst, len(rule.word), rule.dst in keep
+
+        def one_rule_grl(left: str, right: str) -> _Stepped:
+            pos = right.find(word)
+            if pos < 0:
+                return (None, ("", state, left + right)) if left else ()
+            return (rule, (left + right[:pos], dst, right[pos + size:])) if kept else ()
+
+        def one_rule_gll(left: str, right: str) -> _Stepped:
+            pos = left.rfind(word)
+            if pos < 0:
+                return (None, (left + right, state, "")) if right else ()
+            return (rule, (left[:pos], dst, left[pos + size:] + right)) if kept else ()
+
+        return one_rule_grl if grl else one_rule_gll
+
+    def general(left: str, right: str) -> _Stepped:
+        hits = enabled_deletions(kind, rules, right if grl else left)
+        if len(hits) > 1:
+            return hits
+        if not hits:
             if grl:
                 return (None, ("", state, left + right)) if left else ()
             return (None, (left + right, state, "")) if right else ()
-    if rule.dst not in keep:
-        return ()
-    if grl:
-        return rule, (left + right[:pos], rule.dst, right[end:])
-    return rule, (left[:pos], rule.dst, left[end:] + right)
+        (rule, pos), = hits
+        if rule.dst not in keep:
+            return ()
+        if grl:
+            return rule, (left + right[:pos], rule.dst, right[pos + len(rule.word):])
+        return rule, (left[:pos], rule.dst, left[pos + len(rule.word):] + right)
+
+    if not rules or any(len(rule.word) != 1 for rule in rules):
+        return general
+    # A dead rule's symbol maps to (), which is false and is its step.
+    table = {rule.word: rule if rule.dst in keep else () for rule in rules}
+    skip = "".join(a for a in alphabet if a not in table)
+
+    def one_symbol_grl(left: str, right: str) -> _Stepped:
+        rest = right.lstrip(skip)
+        rule = table.get(rest[:1])
+        if rule:
+            return rule, (left + right[: len(right) - len(rest)], rule.dst, rest[1:])
+        if rest:  # the dead rule's (), or a symbol outside the alphabet
+            return rule if rule is not None else general(left, right)
+        return (None, ("", state, left + right)) if left else ()
+
+    def one_symbol_gll(left: str, right: str) -> _Stepped:
+        rest = left.rstrip(skip)
+        rule = table.get(rest[-1:])
+        if rule:
+            return rule, (rest[:-1], rule.dst, left[len(rest):] + right)
+        if rest:  # the dead rule's (), or a symbol outside the alphabet
+            return rule if rule is not None else general(left, right)
+        return (None, (left + right, state, "")) if right else ()
+
+    return one_symbol_grl if grl else one_symbol_gll
 
 
 def _successors(
-    kind: Kind,
-    rules_from: Mapping[str, tuple[Rule, ...]],
-    config: Configuration,
-    keep: Container[str],
-    units: Mapping[str, tuple[str, Mapping[str, Rule]]],
-    hits: list[tuple[Rule, int]] | None = None,
+    kind: Kind, config: Configuration, keep: Container[str],
+    step: Callable[[str, str], _Stepped], hits: list[tuple[Rule, int]] | None = None,
 ) -> list[tuple[Move, Configuration]]:
     """The successors of ``config`` whose state is in ``keep``, which holds
-    ``config.state``: a consume is built only when its rule enters ``keep``.
-    The return jump is offered only when no deletion is enabled at all, kept
-    or not. ``hits`` is what :func:`_step` returned on ``config`` if it found
-    two or more deletions. A state in ``units`` (``Automaton.units``, or
-    empty) steps through :func:`_step`, its successor made a
-    :class:`Configuration` here."""
-    left, state, right = config
+    ``config.state``, as :class:`Configuration` values: what ``step``, the
+    state's compiled step toward ``keep``, returns on ``config``, or the kept
+    deletions among ``hits``, two or more it returned there, with no return."""
+    left, _, right = config
     if hits is None:
-        if state in units:
-            step = _step(kind, rules_from, units, keep, left, state, right)
-            return [(step[0], Configuration._make(step[1]))] if step else []
-        text = right if kind is _RIGHT else left
-        hits = enabled_deletions(kind, rules_from.get(state, ()), text)
-    out: list[tuple[Move, Configuration]] = []
+        hits = step(left, right)
+        if hits.__class__ is not list:
+            return [(hits[0], Configuration._make(hits[1]))] if hits else []
     if kind is _RIGHT:
-        for rule, pos in hits:
-            if rule.dst in keep:
-                after = Configuration(left + right[:pos], rule.dst, right[pos + len(rule.word):])
-                out.append((rule, after))
-        if left and not hits:
-            out.append((None, Configuration("", state, left + right)))
-    else:
-        # Mirror image: scan the left buffer from its right end.
-        for rule, pos in hits:
-            if rule.dst in keep:
-                after = Configuration(left[:pos], rule.dst, left[pos + len(rule.word):] + right)
-                out.append((rule, after))
-        if right and not hits:
-            out.append((None, Configuration(left + right, state, "")))
-    return out
+        return [(rule, Configuration(left + right[:pos], rule.dst, right[pos + len(rule.word):]))
+                for rule, pos in hits if rule.dst in keep]
+    # Mirror image: scan the left buffer from its right end.
+    return [(rule, Configuration(left[:pos], rule.dst, left[pos + len(rule.word):] + right))
+            for rule, pos in hits if rule.dst in keep]
 
 
 def successors(aut: Automaton, config: Configuration) -> list[tuple[Move, Configuration]]:
     """Every one-step successor: deletions in rule order, then the return jump."""
-    return _successors(aut.kind, aut.rules_from, config, aut.states, aut.units)
+    return _successors(aut.kind, config, aut.states, aut.steps[config[1]])
 
 
 def naive_consume_successors(
@@ -429,35 +427,33 @@ def _searcher(
     path. The sweeps pass ``aut.loops``, and :func:`_traced` passes none.
 
     Configurations whose state is not in ``aut.live`` are never built, stored
-    or expanded: each step asks for the live successors only. None of the
-    others can lead to acceptance and all their successors are dead too, so
-    the live configurations are discovered in the same order as by the
-    unpruned search, and verdicts and traces are unchanged. Only the store
-    that :data:`MAX_STORED_SYMBOLS` bounds shrinks.
+    or expanded: none can lead to acceptance and all their successors are
+    dead too, so the live configurations are discovered in the same order as
+    by the unpruned search, and verdicts and traces are unchanged. Only the
+    store that :data:`MAX_STORED_SYMBOLS` bounds shrinks.
 
     The search keeps no frontier and stores nothing until it branches. The
     graph is acyclic, so while every expansion has yielded at most one live
     successor the live configurations found form one path that cannot meet
-    itself, and dead ones are never stored: the search follows that one
-    successor, held in three locals, with the same accept check, and links
-    each move onto the path. Every state steps there through :func:`_step`
-    alone; two or more enabled deletions go to :func:`_successors`. At the
-    first expansion that yields two or more live successors it creates the
-    visited set and the frontier, which starts with that expansion's
-    successors, and goes on as a frontier search, every step through
-    :func:`_successors`; the order of expansion is the one a frontier from
-    the start would give. Every configuration discovered from then on goes
-    into the visited set; none found earlier can be reached again, being an
-    ancestor of all that follow. So every live reachable configuration is
-    still expanded exactly once. Each frontier entry is ``(configuration,
-    path)``, the path linked as ``(move, parent_path)``, so no configuration
-    is kept once expanded. The budget charges only what enters the visited
-    set, its symbols plus one each: before it exists the run is one path of
-    at most 2n + 1 moves, since each consume shrinks the input and no return
-    follows one. A loop state ends that path and stores nothing, so no
-    :class:`SearchLimitError` changes.
+    itself: the search follows that one successor, held in three locals,
+    stepping each state through its compiled step alone (``aut.live_steps``,
+    see :func:`_compile_step`), and links each move onto the path. At the
+    first expansion that yields two or more live successors, built by
+    :func:`_successors`, it creates the visited set and a frontier that
+    starts with them, and goes on as a frontier search, every step through
+    :func:`_successors`, in the order a frontier from the start would give.
+    Every configuration discovered from then on goes into the visited set;
+    none found earlier can be reached again, being an ancestor of all that
+    follow, so every live reachable configuration is still expanded exactly
+    once. Each frontier entry is ``(configuration, path)``, the path linked
+    as ``(move, parent_path)``, so no configuration is kept once expanded.
+    The budget charges only what enters the visited set, its symbols plus
+    one each: before it exists the run is one path of at most 2n + 1 moves,
+    since each consume shrinks the input and no return follows one. A loop
+    state ends that path and stores nothing, so no :class:`SearchLimitError`
+    changes.
     """
-    finals, live, rules_from, units = aut.finals, aut.live, aut.rules_from, aut.units
+    finals, live, table = aut.finals, aut.live, aut.live_steps
     kind, grl = aut.kind, aut.kind is _RIGHT
 
     def search(start_left: str, state: str, start_right: str) -> tuple[bool, _Path]:
@@ -470,9 +466,9 @@ def _searcher(
                 return True, path
             if loops and state in loops:
                 return _drained(grl, loops[state], left, right), None
-            step = _step(kind, rules_from, units, live, left, state, right)
+            step = table[state](left, right)
             if step.__class__ is list:
-                steps = _successors(kind, rules_from, (left, state, right), live, units, step)
+                steps = _successors(kind, (left, state, right), live, table[state], step)
                 if len(steps) != 1:
                     break
                 (move, (left, state, right)), = steps
@@ -503,7 +499,7 @@ def _searcher(
             if not frontier:
                 return False, None
             config, path = take(frontier)
-            steps = _successors(kind, rules_from, config, live, units)
+            steps = _successors(kind, config, live, table[config.state])
 
     return search
 

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 import helpers
 from jumpfa import engine, lba
-from jumpfa.core import JumpfaError, Kind, Rule, SymbolOutsideAlphabetError, make_automaton
+from jumpfa.core import (
+    Automaton, JumpfaError, Kind, Rule, SymbolOutsideAlphabetError, make_automaton,
+)
 from jumpfa.engine import (
     Configuration,
     SearchLimitError,
@@ -138,27 +140,39 @@ class TestSuccessors:
         steps = successors(aut, Configuration("", "q0", "babb"))
         assert [c for _, c in steps] == [Configuration("b", "q1", "b")]
 
+    def test_successors_keeps_the_dead_successors(self):
+        # cdyck-grl's q0 deletes a or b into the dead q2, which has no rules:
+        # successors() steps every state toward every state, the searches
+        # the live states toward the live ones.
+        aut = load_bundled("cdyck-grl")
+        into_dead = Configuration("", "q0", "bca")
+        assert successors(aut, into_dead) == [(Rule("q0", "b", "q2"), ("", "q2", "ca"))]
+        assert aut.live_steps["q0"](into_dead.left, into_dead.right) == ()
+        assert successors(aut, Configuration("c", "q2", "a")) == [(None, ("", "q2", "ca"))]
+        assert "q2" not in aut.live_steps
+
     @settings(max_examples=200, deadline=None)
     @given(helpers.automata(), st.text(alphabet="ab", max_size=7))
     def test_live_step_keeps_the_live_successors(self, aut, word):
         for config in helpers.walk_configs(aut, word):
             if config.state in aut.live:
                 kept = [s for s in successors(aut, config) if s[1].state in aut.live]
-                for units in ({}, aut.units):
-                    step = engine._successors(aut.kind, aut.rules_from, config, aut.live, units)
-                    assert step == kept, (config, units)
+                step = aut.live_steps[config.state]
+                assert engine._successors(aut.kind, config, aut.live, step) == kept, config
 
     def test_unit_step_equals_the_general_rule(self):
         # State p with rules entering the kept q or the dropped d, in two
         # complementary destination patterns, so each rule once enters q and
-        # once d: every nonempty subset of abc, one symbol per rule (the
-        # strip-and-lookup step), over every buffer up to length 3; and every
-        # one or two words of length <= 2 over ab (a/aa, ab/ba, ab/b, ...),
-        # over every buffer up to length 4. Each also with a foreign z put
-        # anywhere in a word up to length 1 (abc) or 2 (ab), on either side.
-        # The step is the lone kept successor, or (), when
-        # enabled_deletions finds at most one deletion, and returns the
-        # deletions it found exactly when there are two or more.
+        # once d: every nonempty subset of abc, one symbol per rule, over
+        # every buffer up to length 3; and every one or two words of length
+        # <= 2 over ab (a/aa, ab/ba, ab/b, ...), over every buffer up to
+        # length 4. Each also with a foreign z put anywhere in a word up to
+        # length 1 (abc) or 2 (ab), on either side. So every shape of
+        # compiled step runs, for both kinds: one rule, rules of one symbol
+        # each (the foreign z stopping their strip), and any other. The step
+        # returns the deletions enabled_deletions finds exactly when there
+        # are two or more, and they are the ones the literal side conditions
+        # allow; otherwise it returns the lone kept successor, or ().
         symbols = [c for size in (1, 2, 3) for c in combinations("abc", size)]
         short = [c for size in (1, 2) for c in combinations(list(iter_words("ab", 2))[1:], size)]
         families = []
@@ -168,47 +182,64 @@ class TestSuccessors:
             buffers = list(iter_words(letters, length)) + zs
             configs = [Configuration(left, "p", right) for left in buffers for right in buffers]
             families.append((letters, configs, sets))
-        keep, branched = {"p", "q"}, 0
+        keep, shapes, branched = {"p", "q"}, set(), 0
         for kind in Kind:
             for letters, configs, sets in families:
                 for words, dsts in product(sets, ("qdq", "dqd")):
                     rules = [("p", x, dst) for x, dst in zip(words, dsts)]
                     aut = make_automaton(kind, letters, ["p", "q", "d"], "p", ["q"], rules)
-                    rules_from, units = aut.rules_from, aut.units
-                    assert set(units) == ({"p"} if max(map(len, words)) == 1 else set())
-                    # A one-symbol state also steps by the general rule alone.
-                    tables = (units, {}) if units else (units,)
+                    step = engine._compile_step(kind, "p", aut.rules_from["p"], keep, letters)
+                    shapes.add(step.__name__)
                     for c in configs:
                         text = c.right if kind is Kind.RIGHT else c.left
-                        hits = engine.enabled_deletions(kind, rules_from["p"], text)
-                        want = hits
-                        if len(hits) < 2:
-                            want = engine._successors(kind, rules_from, c, keep, {})
-                        for table in tables:
-                            step = got = engine._step(kind, rules_from, table, keep, *c)
-                            if step.__class__ is tuple:
-                                got = [(step[0], Configuration._make(step[1]))] if step else []
-                            if got != want or (len(hits) > 1) != (step.__class__ is list):
-                                pytest.fail(f"{kind.value} {rules} at {c}: {step}, want {want}")
+                        hits = engine.enabled_deletions(kind, aut.rules_from["p"], text)
+                        naive = naive_consume_successors(aut, c)
+                        assert [rule for rule, _ in hits] == [rule for rule, _ in naive]
+                        want = [s for s in naive if s[1].state in keep]
+                        grl, wrapped = kind is Kind.RIGHT, c.left + c.right
+                        if not naive and (c.left if grl else c.right):
+                            after = ("", "p", wrapped) if grl else (wrapped, "p", "")
+                            want = [(None, Configuration._make(after))]
+                        got = engine._successors(kind, c, keep, step)
+                        stepped = step(c.left, c.right)
+                        if len(hits) > 1:
+                            ok = stepped == hits and got == want
+                            ok = ok and engine._successors(kind, c, keep, step, hits) == want
+                        else:
+                            single = stepped and [(stepped[0], Configuration._make(stepped[1]))]
+                            ok = stepped.__class__ is tuple and list(single) == got == want
+                        if not ok:
+                            pytest.fail(f"{kind.value} {rules} at {c}: {stepped}, want {want}")
                         branched += len(hits) > 1
+        assert shapes == {
+            "general", "one_rule_grl", "one_rule_gll", "one_symbol_grl", "one_symbol_gll"
+        }
         assert branched > 0
 
-    def test_unit_table_holds_the_states_with_one_symbol_rules_only(self):
-        tables = {name: set(aut.units) for name, aut in helpers.corpus().items()}
-        assert tables["cdyck-grl"] == tables["dc-gll"] == {"q0"}
-        assert tables["example1-rowj"] == {"q0", "q2", "q3"}
-        assert tables["nonrowj-grl"] == {"q1", "q2", "q3", "q4"}
-        for name in ("exrl-grl", "exrl-gll", "dyck-grl", "dyck-gll"):
-            assert tables[name] == set(), name
+    def test_each_state_compiles_to_the_shape_its_rules_take(self):
+        shapes = {
+            name: {q: step.__name__ for q, step in aut.live_steps.items()}
+            for name, aut in helpers.corpus().items()
+        }
+        assert shapes["cdyck-grl"] == {"q0": "one_symbol_grl", "q1": "one_rule_grl"}
+        assert shapes["dc-gll"] == {"q0": "one_symbol_gll", "q1": "one_rule_gll"}
+        assert shapes["example1-rowj"] == {
+            "q0": "one_symbol_grl", "q2": "one_rule_grl", "q3": "one_rule_grl"
+        }
+        assert shapes["nonrowj-grl"] == {
+            "q0": "general", **{q: "one_rule_grl" for q in ("q1", "q2", "q3", "q4")}
+        }
+        assert shapes["dyck-gll"] == {"q0": "one_rule_gll"}
+        # The searches step the live states, successors() every state.
+        for aut in helpers.corpus().values():
+            assert set(aut.live_steps) == aut.live
+            assert set(aut.steps) == set(aut.states)
         # The rules of bench/machines/onestate-q0final.jfa.
         onestate = make_automaton(
             "gll", "ab", ["q0"], "q0", ["q0"],
             [("q0", w, "q0") for w in ("abb", "aaa", "ba", "aab", "bb", "ab")],
         )
-        assert onestate.units == {}
-        skip, table = load_bundled("example1-rowj").units["q2"]
-        assert (skip, table) == ("b", {"a": Rule("q2", "a", "q3")})
-        assert load_bundled("cdyck-grl").units["q0"][0] == ""
+        assert onestate.live_steps["q0"].__name__ == "general"
 
     def test_no_step_reads_a_kind_member(self, monkeypatch):
         # A step compares the kind with a module global bound at import: an
@@ -218,21 +249,25 @@ class TestSuccessors:
                 raise AssertionError(f"a step read Kind.{name}")
 
         grl = load_bundled("nonrowj-grl")  # branches on a and aa, and returns
-        gll = reverse_automaton(grl)
+        rowj = load_bundled("example1-rowj")  # q0 reads a or b
+        pairs = ((grl, "aabbab"), (reverse_automaton(grl), "babbaa"),
+                 (rowj, "abbaa"), (reverse_automaton(rowj), "aabba"))
         configs = [
-            (aut, config, config.right if aut is grl else config.left)
-            for aut, word in ((grl, "aabbab"), (gll, "babbaa"))
+            (aut, config, config.right if aut.kind is Kind.RIGHT else config.left)
+            for aut, word in pairs
             for config in sorted(helpers.walk_configs(aut, word))
         ]
         tapes = [tape for tape, _, _ in helpers.walk_tape_edges(grl, "aabbab")]
-        # The one-symbol step runs in q1-q4, the general one in q0.
-        assert {config.state for _, config, _ in configs} == {"q0", *grl.units}
+        # Every shape of compiled step runs, for both kinds.
+        assert {aut.live_steps[config.state].__name__ for aut, config, _ in configs} == {
+            "general", "one_rule_grl", "one_rule_gll", "one_symbol_grl", "one_symbol_gll"
+        }
         # Bound before Kind is patched, as binding reads the kind; each then
         # searches from every configuration, stepping every state before it
-        # branches through _step alone.
+        # branches through its compiled step alone.
         searches = [
             (aut, engine._searcher(aut, take, loops))
-            for aut in (grl, gll)
+            for aut, _ in pairs
             for take, loops in ((deque.pop, aut.loops), (deque.popleft, ()))
         ]
 
@@ -240,8 +275,9 @@ class TestSuccessors:
             out = []
             for aut, config, text in configs:
                 rules = aut.rules_from.get(config.state, ())
-                step = engine._successors(aut.kind, aut.rules_from, config, aut.live, aut.units)
-                out.append(step)
+                step = aut.live_steps[config.state]
+                out.append(engine._successors(aut.kind, config, aut.live, step))
+                out.append(successors(aut, config))
                 out.append(engine.enabled_deletions(aut.kind, rules, text))
             for tape in tapes:
                 out.append(lba._machine_successors(grl.rules_from, tape))
@@ -889,7 +925,7 @@ class TestDeadStatePruning:
                 [("q0", w, "q0") for w in ("abb", "aaa", "ba", "aab", "bb", "ab")],
             )
             assert search(aut, "abba") == (False, None)
-            assert "rules_from" not in aut.__dict__ and "units" not in aut.__dict__
+            assert "rules_from" not in aut.__dict__ and "live_steps" not in aut.__dict__
             with pytest.raises(SymbolOutsideAlphabetError):
                 search(aut, "abc")
 
@@ -898,34 +934,35 @@ def successor_log(search, aut, word):
     """The verdict of ``search(aut, word)`` and the configurations it
     expanded, in call order: each expansion's state, and whether the search
     had branched before it, that is, whether an earlier expansion yielded two
-    or more successors. An expansion is a call of the engine's successor
-    function that is given no enabled deletions, or a call of its step that
-    the successor function did not make itself. A search steps every state
-    through ``_step`` alone until it branches, handing the deletions that
-    ``_step`` found to ``_successors`` where it may branch."""
+    or more successors. An expansion is a call of a compiled step: the search
+    steps each configuration it expands once, through its state's step, and
+    hands the deletions of a step that found two or more to the engine's
+    successor function, which builds them and does not step again. The search
+    runs on a copy of ``aut``, so that its steps are compiled afresh, each
+    wrapped to log its calls."""
     log = []
-    branched = inside = False
-    successors, step = engine._successors, engine._step
+    branched = False
+    successors, compile_step = engine._successors, engine._compile_step
 
-    def logged(kind, rules_from, config, keep, units, hits=None):
-        nonlocal branched, inside
-        if hits is None:
-            log.append((config[1], branched))
-        inside = True
-        steps = successors(kind, rules_from, config, keep, units, hits)
-        inside = False
+    def logged(kind, config, keep, step, hits=None):
+        nonlocal branched
+        steps = successors(kind, config, keep, step, hits)
         branched = branched or len(steps) > 1
         return steps
 
-    def logged_step(kind, rules_from, units, keep, left, state, right):
-        if not inside:
+    def logged_compile(kind, state, rules, keep, alphabet):
+        step = compile_step(kind, state, rules, keep, alphabet)
+
+        def logged_step(left, right):
             log.append((state, branched))
-        return step(kind, rules_from, units, keep, left, state, right)
+            return step(left, right)
+
+        return logged_step
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_successors", logged)
-        mp.setattr(engine, "_step", logged_step)
-        accepted, _ = search(aut, word)
+        mp.setattr(engine, "_compile_step", logged_compile)
+        accepted, _ = search(Automaton._make(aut), word)
     return accepted, log
 
 
@@ -1040,14 +1077,14 @@ class TestSearchStorage:
         assert successor_calls(member, aut, "bbaaaaaaab") == (False, 10)
 
     def test_the_give_up_message_names_the_whole_input(self, monkeypatch):
-        # q0 deletes the b in one one-symbol step, then q1 branches on a and
+        # q0 deletes the b in one one-rule step, then q1 branches on a and
         # aa: the search gives up at a branch whose configuration holds 3
         # symbols, on an input of 4.
         aut = make_automaton(
             "grl", "ab", ["q0", "q1"], "q0", ["q1"],
             [("q0", "b", "q1"), ("q1", "a", "q1"), ("q1", "aa", "q1")],
         )
-        assert set(aut.units) == {"q0"}
+        assert aut.live_steps["q0"].__name__ == "one_rule_grl"
         monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", 0)
         message = "^gave up after storing 0 symbols on input of length 4$"
         for search in (member, shortest_trace, verdict_search):
