@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from functools import lru_cache
 from itertools import product
 
 from hypothesis import strategies as st
@@ -59,19 +60,37 @@ def random_automaton(
     return make_automaton(kind, alphabet, states, rnd.choice(states), finals, rules)
 
 
+def unit_automata():
+    """Every unit-rule automaton over ``ab`` with states q0 (the start) and
+    q1 and a nonempty final set, of both kinds: each state reads each letter
+    into q0, into q1 or not at all (486 machines). Unlike the small-scope
+    machines, which have at most two rules, a state that a jump leads to may
+    read both letters, so a verdict depends on where the skipped text goes."""
+    keys = [(q, x) for q in ("q0", "q1") for x in "ab"]
+    for kind in ("grl", "gll"):
+        for finals in (["q0"], ["q1"], ["q0", "q1"]):
+            for targets in product((None, "q0", "q1"), repeat=len(keys)):
+                rules = [(q, x, dst) for (q, x), dst in zip(keys, targets) if dst]
+                yield make_automaton(kind, "ab", ["q0", "q1"], "q0", finals, rules)
+
+
 @st.composite
-def automata(draw, kinds=(Kind.RIGHT, Kind.LEFT), alphabet="ab", max_states=4, max_word_len=3):
-    kind = draw(st.sampled_from(kinds))
-    n = draw(st.integers(1, max_states))
+def automata(draw):
+    kind = draw(st.sampled_from((Kind.RIGHT, Kind.LEFT)))
+    states, state, keys = _shape(draw(st.integers(1, 4)))
+    rules = [(src, word, draw(state)) for src, word in draw(keys)]
+    finals = draw(st.lists(state, unique=True, max_size=len(states)))
+    return make_automaton(kind, "ab", states, draw(state), finals, rules)
+
+
+@lru_cache(maxsize=None)
+def _shape(n):
+    """q0..q(n-1), and strategies for one of them and for up to six distinct
+    rule keys (a state, a word of 1-3 letters over ab), built once per n:
+    building them on each draw made a draw about 1.4x as slow."""
     states = [f"q{i}" for i in range(n)]
-    keys = st.tuples(
-        st.sampled_from(states),
-        st.text(alphabet=alphabet, min_size=1, max_size=max_word_len),
-    )
-    chosen = draw(st.lists(keys, max_size=6, unique=True))
-    rules = [(src, word, draw(st.sampled_from(states))) for src, word in chosen]
-    finals = draw(st.lists(st.sampled_from(states), unique=True, max_size=n))
-    return make_automaton(kind, alphabet, states, draw(st.sampled_from(states)), finals, rules)
+    keys = [(q, w) for q in states for w in all_words("ab", 1, 3)]
+    return states, st.sampled_from(states), st.lists(st.sampled_from(keys), max_size=6, unique=True)
 
 
 @st.composite

@@ -400,6 +400,7 @@ class TestBadInput:
     exit code 0, 1 or 2, and exit 2 carries one diagnostic line or
     argparse's usage block, never a traceback."""
 
+    # Beyond the enumeration: damaged machine files and odd words.
     @settings(max_examples=150, deadline=None)
     @given(
         mutated_machines(),

@@ -208,11 +208,13 @@ class TestSerialize:
         assert aut.live == {"q0", "q1", "q2"}
         assert make_automaton("gll", "ab", ["q0"], "q0", [], [("q0", "a", "q0")]).live == set()
 
+    # Beyond the enumeration: the file format, which it never parses.
     @settings(max_examples=120)
     @given(helpers.automata())
     def test_round_trip_property(self, aut):
         assert parse_automaton(serialize_automaton(aut)) == aut
 
+    # Beyond the enumeration: arbitrary symbol and state names.
     @settings(max_examples=200)
     @given(
         st.lists(st.text(max_size=2), min_size=0, max_size=3),
@@ -228,6 +230,7 @@ class TestSerialize:
 
 
 class TestParserFuzz:
+    # Beyond the enumeration: arbitrary file text.
     @settings(max_examples=300)
     @given(st.text(alphabet="kindalphbetsrufoq019: #\n", max_size=200))
     def test_arbitrary_text_fails_cleanly_or_parses(self, text):

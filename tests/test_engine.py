@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from itertools import chain, combinations, product, zip_longest
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -151,6 +151,7 @@ class TestSuccessors:
         assert successors(aut, Configuration("c", "q2", "a")) == [(None, ("", "q2", "ca"))]
         assert "q2" not in aut.live_steps
 
+    # Beyond the enumeration: up to four states, six rules, rule words of length 3.
     @settings(max_examples=200, deadline=None)
     @given(helpers.automata(), st.text(alphabet="ab", max_size=7))
     def test_live_step_keeps_the_live_successors(self, aut, word):
@@ -172,7 +173,9 @@ class TestSuccessors:
         # each (the foreign z stopping their strip), and any other. The step
         # returns the deletions enabled_deletions finds exactly when there
         # are two or more, and they are the ones the literal side conditions
-        # allow; otherwise it returns the lone kept successor, or ().
+        # allow; otherwise it returns the lone kept successor, or (). The naive
+        # deletions, which depend only on the scanned buffer, are found once per
+        # buffer and checked by a direct call where the other has <= 1 letter.
         symbols = [c for size in (1, 2, 3) for c in combinations("abc", size)]
         short = [c for size in (1, 2) for c in combinations(list(iter_words("ab", 2))[1:], size)]
         families = []
@@ -190,13 +193,21 @@ class TestSuccessors:
                     aut = make_automaton(kind, letters, ["p", "q", "d"], "p", ["q"], rules)
                     step = engine._compile_step(kind, "p", aut.rules_from["p"], keep, letters)
                     shapes.add(step.__name__)
+                    scanned = {}
                     for c in configs:
-                        text = c.right if kind is Kind.RIGHT else c.left
+                        grl, wrapped = kind is Kind.RIGHT, c.left + c.right
+                        text, other = (c.right, c.left) if grl else (c.left, c.right)
+                        if text not in scanned:
+                            alone = ("", "p", text) if grl else (text, "p", "")
+                            scanned[text] = naive_consume_successors(aut, Configuration(*alone))
+                        naive = [(rule, Configuration(other + a.left, a.state, a.right) if grl
+                                  else Configuration(a.left, a.state, a.right + other))
+                                 for rule, a in scanned[text]]
+                        if len(other) <= 1:
+                            assert naive == naive_consume_successors(aut, c), (kind, rules, c)
                         hits = engine.enabled_deletions(kind, aut.rules_from["p"], text)
-                        naive = naive_consume_successors(aut, c)
                         assert [rule for rule, _ in hits] == [rule for rule, _ in naive]
                         want = [s for s in naive if s[1].state in keep]
-                        grl, wrapped = kind is Kind.RIGHT, c.left + c.right
                         if not naive and (c.left if grl else c.right):
                             after = ("", "p", wrapped) if grl else (wrapped, "p", "")
                             want = [(None, Configuration._make(after))]
@@ -546,6 +557,7 @@ class TestForkedSweep:
             )
         assert len(pids) == 6
 
+    # Beyond the enumeration: forked sweeps of machines of up to four states.
     @settings(max_examples=40, deadline=None)
     @given(helpers.automata(), helpers.automata(), st.integers(2, 4))
     def test_random_sweeps_equal_the_sequential_sweep(self, a, b, processes):
@@ -685,26 +697,27 @@ class TestForkedSweep:
                 worker.join()
 
 
-def _configurations(draw_words):
-    return st.tuples(draw_words, st.sampled_from(["q0", "q1", "q2", "q3"]), draw_words)
+@st.composite
+def _with_a_configuration(draw, words=st.text(alphabet="ab", max_size=6)):
+    aut = draw(helpers.automata())
+    return aut, Configuration(draw(words), draw(st.sampled_from(aut.states)), draw(words))
 
 
 class TestNaiveAgreement:
     """The fast successor computation must equal the literal-clause one."""
 
+    # Beyond the enumeration: up to four states, six rules, rule words of length 3.
     @settings(max_examples=300, deadline=None)
     @given(helpers.automata(), st.text(alphabet="ab", max_size=8))
     def test_fast_equals_naive_on_reachable_configs(self, aut, word):
         for config in helpers.walk_configs(aut, word):
             assert helpers.consume_steps(aut, config) == naive_consume_successors(aut, config)
 
+    # Beyond the enumeration: configurations that no run from a word need reach.
     @settings(max_examples=300, deadline=None)
-    @given(helpers.automata(), _configurations(st.text(alphabet="ab", max_size=6)))
-    def test_fast_equals_naive_on_arbitrary_configs(self, aut, parts):
-        left, state, right = parts
-        if state not in aut.states:
-            return
-        config = Configuration(left, state, right)
+    @given(_with_a_configuration())
+    def test_fast_equals_naive_on_arbitrary_configs(self, run):
+        aut, config = run
         assert helpers.consume_steps(aut, config) == naive_consume_successors(aut, config)
 
 
@@ -732,10 +745,15 @@ def naive_member(aut, word):
 
 
 class TestDualRouteMembership:
-    @settings(max_examples=250, deadline=None)
-    @given(helpers.automata(), st.text(alphabet="ab", max_size=7))
-    def test_member_agrees_with_naive_search(self, aut, word):
-        assert member(aut, word)[0] == naive_member(aut, word)
+    def test_member_agrees_with_naive_search(self):
+        # Beyond the enumeration: 100 seeded machines of up to four states,
+        # six rules and rule words of length 3, on all words of length <= 6.
+        rnd = random.Random(0xD0A1)
+        words = list(iter_words("ab", 6))
+        for _ in range(100):
+            aut = helpers.random_automaton(rnd)
+            for word in words:
+                assert member(aut, word)[0] == naive_member(aut, word), (aut, word)
 
 
 def small_scope_automata():
@@ -753,7 +771,10 @@ def small_scope_automata():
 
 class TestSmallScope:
     """Every small machine on every short word, in place of random draws: a
-    shape that random machines rarely take cannot slip through."""
+    shape that random machines rarely take cannot slip through. It is the one
+    place that checks the verdict relations over a space of machines; the
+    unit-rule properties are checked on every two-state unit-rule machine
+    (``helpers.unit_automata``), a superset of its 198."""
 
     def test_every_search_decides_as_the_naive_search(self):
         machines = list(small_scope_automata())
@@ -776,11 +797,13 @@ class TestSmallScope:
                     lba_run(aut, word)[0],
                     one_way_reference_member(aut, word) if unit else expected,
                 )
-                assert verdicts == (expected,) * 5, (aut.kind, aut.finals, aut.rules, word)
-                if accepted:
+                where = (aut.kind, aut.finals, aut.rules, word)
+                assert verdicts == (expected,) * 5, where
+                run = (shortest.configs, shortest.moves) if shortest else (None, None)
+                assert (accepted, *run) == unpruned_member(aut, word), where
+                if accepted:  # the unpruned search's run replays: so does shortest
                     traced += 1
                     assert_replays(aut, word, trace)
-                    assert_replays(aut, word, shortest)
                     assert len(shortest.moves) <= len(trace.moves)
         assert unit_rule == 198
         assert traced == 5852
@@ -830,6 +853,7 @@ class TestLoopStates:
 
 
 class TestInvariants:
+    # Beyond the enumeration: up to four states, six rules, rule words of length 3.
     @settings(max_examples=250, deadline=None)
     @given(helpers.automata(), st.text(alphabet="ab", max_size=7))
     def test_mutual_exclusion_and_progress(self, aut, word):
@@ -846,12 +870,13 @@ class TestInvariants:
                 shrink = len(config.left + config.right) - len(nxt.left + nxt.right)
                 assert shrink == len(move.word)
 
-    @settings(max_examples=150, deadline=None)
-    @given(helpers.automata(kinds=(helpers.Kind.RIGHT, helpers.Kind.LEFT), max_word_len=1),
-           st.text(alphabet="ab", max_size=7))
-    def test_unit_rule_machines_never_branch(self, aut, word):
-        for config in helpers.walk_configs(aut, word):
-            assert len(helpers.consume_steps(aut, config)) <= 1
+    def test_unit_rule_machines_never_branch(self):
+        # Every two-state unit-rule machine, a superset of the enumeration's.
+        words = list(iter_words("ab", 5))
+        for aut in helpers.unit_automata():
+            for word in words:
+                for config in helpers.walk_configs(aut, word):
+                    assert len(helpers.consume_steps(aut, config)) <= 1, (aut.rules, config)
 
 
 def unpruned_member(aut, word):
@@ -881,28 +906,27 @@ def unpruned_member(aut, word):
     return False, None, None
 
 
-# On ``cab`` the head deletes ``a`` into q1 with ``c`` behind and ``b`` ahead.
-# There only the deletion of ``b`` into the dead state d is enabled, and it
-# blocks the return that would go on to accept through qf.
-DEAD_DELETION_BLOCKS_RETURN = make_automaton(
-    "grl", "abc", ["q0", "q1", "qf", "d"], "q0", ["qf"],
-    [("q0", "a", "q1"), ("q1", "b", "d"), ("q1", "c", "qf"), ("qf", "b", "qf")],
-)
-
-
 class TestDeadStatePruning:
-    @settings(max_examples=400, deadline=None)
-    @given(helpers.automata(), st.text(alphabet="ab", max_size=9))
-    @example(DEAD_DELETION_BLOCKS_RETURN, "cab")
-    def test_member_equals_unpruned_search(self, aut, word):
-        accepted, trace = shortest_trace(aut, word)
-        run = (trace.configs, trace.moves) if trace else (None, None)
-        assert (accepted, *run) == unpruned_member(aut, word)
-        assert member(aut, word)[0] == accepted
+    def test_member_equals_unpruned_search(self):
+        # Beyond the enumeration: the corpus machines, with up to three
+        # letters, more states and dead ones, on all words of length <= 7.
+        for name, aut in helpers.corpus().items():
+            for word in iter_words(aut.alphabet, 7):
+                accepted, trace = shortest_trace(aut, word)
+                run = (trace.configs, trace.moves) if trace else (None, None)
+                assert (accepted, *run) == unpruned_member(aut, word), (name, word)
+                assert member(aut, word)[0] == accepted, (name, word)
 
     def test_a_dead_deletion_blocks_the_return(self):
-        aut = DEAD_DELETION_BLOCKS_RETURN
+        # On ``cab`` the head deletes ``a`` into q1 with ``c`` behind and ``b``
+        # ahead. There only the deletion of ``b`` into the dead state d is
+        # enabled, and it blocks the return that would go on to accept via qf.
+        aut = make_automaton(
+            "grl", "abc", ["q0", "q1", "qf", "d"], "q0", ["qf"],
+            [("q0", "a", "q1"), ("q1", "b", "d"), ("q1", "c", "qf"), ("qf", "b", "qf")],
+        )
         assert member(aut, "cab") == shortest_trace(aut, "cab") == (False, None)
+        assert unpruned_member(aut, "cab") == (False, None, None)
         assert not lba_run(aut, "cab")[0]
 
     def test_machine_without_finals_rejects_without_searching(self, monkeypatch):
@@ -1017,11 +1041,9 @@ class TestDepthFirstMember:
     reference it must agree with, and the sweeps' verdict path must agree
     with ``member``."""
 
+    # Beyond the enumeration: expansion counts, on up to four states and six rules.
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.tuples(helpers.automata(), st.text(alphabet="ab", max_size=9))
-        | helpers.reconverging_runs()
-    )
+    @given(helpers.reconverging_runs())
     def test_agrees_with_shortest_trace(self, run):
         assert_depth_first_agrees(*run)
 

@@ -52,6 +52,7 @@ class TestPredicates:
             both = oracle_eval("dyck", w) and oracle_eval("astar_bstar", w)
             assert both == oracle_eval("anbn", w), w
 
+    # Beyond the enumeration: two oracles, on words of up to 10 letters over abc.
     @given(st.text(alphabet="abc", max_size=10))
     def test_appended_c_decompositions(self, w):
         assert oracle_eval("dyck_c", w) == (
