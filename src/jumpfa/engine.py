@@ -17,12 +17,15 @@ stopping at the first accepting run it finds. :func:`shortest_trace` runs the
 same search breadth-first, for a shortest run. Every consume strictly shrinks
 the input and returns never repeat, so the graph is acyclic and the search
 terminates. It stores nothing until it branches (:func:`_searcher`), and
-the sweeps, which read its verdict alone, run it too (:func:`_decider`). A
-move is the :class:`~jumpfa.core.Rule` a consume applies, ``(src, word,
-dst)``, since a rule fires only at the nearest occurrence of its word, or
-``None`` for the return, which applies no rule. Configurations and traces
-are named tuples; a :class:`Trace` is ``(kind, start, moves)`` and replays
-its configurations from the moves.
+one frontier phase serves every search from its first branch on
+(:func:`_frontier`). The sweeps, which read its verdict alone, link no move
+before it and end a run at a final state whose only rule loops on it by a
+drain (:func:`_decider`, :func:`_compile_drain`). A move is the
+:class:`~jumpfa.core.Rule` a consume applies, ``(src, word, dst)``, since a
+rule fires only at the nearest occurrence of its word, or ``None`` for the
+return, which applies no rule. Configurations and traces are named tuples; a
+:class:`Trace` is ``(kind, start, moves)`` and replays its configurations
+from the moves.
 
 One consume rule decides every deletion of a step (:func:`enabled_deletions`):
 find the nearest occurrence of each rule word once; a rule fires iff its
@@ -54,7 +57,7 @@ from collections import deque
 from functools import cached_property
 from itertools import islice, product
 from math import isqrt
-from typing import Callable, Container, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Container, Iterator, NamedTuple, Sequence
 
 from .core import (
     EMPTY_WORD,
@@ -72,8 +75,9 @@ MAX_STORED_SYMBOLS = 20_000_000
 MAX_SWEEP_SYMBOLS = 200_000_000
 # Fewest words per share for each fork the caller makes: a sweep of w words runs
 # in isqrt(w // SHARE_WORDS) processes at most, so one of 4,096 words forks once.
-# A fork round trip costs 1.4-2.3 ms on a 2-CPU Linux VM: 700-2,200 swept words
-# at the 1.0-2.2 us a word, both verdicts, of the bench's two largest sweeps.
+# A fork round trip costs about 2 ms on a 2-CPU Linux VM (a 9-word sweep: 0.15 ms
+# in one process, 2.1-2.3 ms in two): 2,000-2,900 swept words at the 0.7-1.0 us
+# a word, both verdicts, of the bench's forked sweeps in one process.
 SHARE_WORDS = 2**10
 # The right-linear kind, read once: on Python 3.11 reading an Enum member
 # costs about ten times a module global, and every step tests the kind.
@@ -386,45 +390,67 @@ def shortest_trace(aut: Automaton, word: str) -> tuple[bool, Trace | None]:
 
 
 def _traced(aut: Automaton, word: str, take: Callable) -> tuple[bool, Trace | None]:
-    """:func:`_searcher`'s search with no loop state, its path made a :class:`Trace`.
-    A trace lists every move, so a run ended by whole passes would have to
-    spell them out again. When ``member`` took that shortcut anyway, the
-    bench's ``long`` workload decided 1.56x as many words a second, but its
-    ``peak_rss_mb``, which grows with the rounds a run completes, rose past
-    its bound. A dead start rejects before the search reads any table."""
+    """:func:`_searcher`'s search, its path made a :class:`Trace`. It steps
+    through a loop state move by move, since a trace lists every move, so a
+    run ended by a drain would have to spell them out again. When ``member``
+    took that shortcut anyway, the bench's ``long`` workload decided 1.56x
+    as many words a second, but its ``peak_rss_mb``, which grows with the
+    rounds a run completes, rose past its bound. A dead start rejects before
+    the search reads any table."""
     start = initial_config(aut, word)
     if aut.start not in aut.live:
         return False, None
-    accepted, path = _searcher(aut, take, ())(*start)
+    accepted, path = _searcher(aut, take)(*start)
     return accepted, Trace(aut.kind, start, _moves(path)) if accepted else None
 
 
 def _decider(aut: Automaton) -> Callable[[str], bool]:
     """The verdict of :func:`member` for the bounded sweeps, which read no
     path. The word must be over ``aut.alphabet`` and is not checked: every
-    sweep enumerates the automaton's own alphabet. A run that reaches a state
-    of ``aut.loops`` before it branches ends there by whole passes.
+    sweep enumerates the automaton's own alphabet.
+
+    ``decide(word)`` runs a path phase like :func:`_searcher`'s that links no
+    move. A state of ``aut.loops`` steps by its drain (:func:`_compile_drain`),
+    so a run that reaches one before it branches ends there. At the first step
+    with two or more live deletions it hands them, built by
+    :func:`_successors`, and the whole input's length to :func:`_frontier`,
+    which steps loop states one move at a time.
     """
-    search, start = _searcher(aut, deque.pop, aut.loops), aut.start
-    if aut.kind is Kind.RIGHT:
-        return lambda word: search("", start, word)[0]
-    return lambda word: search(word, start, "")[0]
+    start, finals, live, kind = aut.start, aut.finals, aut.live, aut.kind
+    if start not in live:
+        return lambda word: False
+    grl = kind is _RIGHT
+    drains = {q: _compile_drain(grl, q, word, aut.alphabet) for q, word in aut.loops.items()}
+    table, frontier = {**aut.live_steps, **drains}, _frontier(aut, deque.pop)
+
+    def decide(word: str) -> bool:
+        left, state, right = ("", start, word) if grl else (word, start, "")
+        while True:
+            if not left and not right and state in finals:
+                return True
+            step = table[state](left, right)
+            if not step:
+                return False
+            if step.__class__ is list:
+                steps = _successors(kind, (left, state, right), live, table[state], step)
+                if len(steps) != 1:
+                    return bool(steps) and frontier(steps, None, len(word))[0]
+                (_, (left, state, right)), = steps
+            else:
+                _, (left, state, right) = step
+
+    return decide
 
 
 def _searcher(
-    aut: Automaton,
-    take: Callable[[deque], object],
-    loops: Mapping[str, str] | tuple[()],
+    aut: Automaton, take: Callable[[deque], object]
 ) -> Callable[[str, str, str], tuple[bool, _Path]]:
-    """The search behind :func:`member`, :func:`shortest_trace` and the
-    sweeps' :func:`_decider`, bound to ``aut``'s tables once:
-    ``search(left, state, right)`` searches from that configuration; ``take``
-    picks the next configuration to expand from the frontier. It returns the
-    verdict and, on acceptance, the moves that reached a bare final state as
-    a linked path (``None`` for the start itself). ``loops`` holds the
-    states of ``aut.loops`` in which a run may end by whole passes, as
-    :func:`_drained` reads them off the text; such a verdict comes with no
-    path. The sweeps pass ``aut.loops``, and :func:`_traced` passes none.
+    """The search behind :func:`member` and :func:`shortest_trace`, bound to
+    ``aut``'s tables once: ``search(left, state, right)`` searches from that
+    configuration; ``take`` picks the next configuration to expand from the
+    frontier. It returns the verdict and, on acceptance, the moves that
+    reached a bare final state as a linked path (``None`` for the start
+    itself).
 
     Configurations whose state is not in ``aut.live`` are never built, stored
     or expanded: none can lead to acceptance and all their successors are
@@ -432,29 +458,16 @@ def _searcher(
     by the unpruned search, and verdicts and traces are unchanged. Only the
     store that :data:`MAX_STORED_SYMBOLS` bounds shrinks.
 
-    The search keeps no frontier and stores nothing until it branches. The
-    graph is acyclic, so while every expansion has yielded at most one live
-    successor the live configurations found form one path that cannot meet
-    itself: the search follows that one successor, held in three locals,
-    stepping each state through its compiled step alone (``aut.live_steps``,
-    see :func:`_compile_step`), and links each move onto the path. At the
-    first expansion that yields two or more live successors, built by
-    :func:`_successors`, it creates the visited set and a frontier that
-    starts with them, and goes on as a frontier search, every step through
-    :func:`_successors`, in the order a frontier from the start would give.
-    Every configuration discovered from then on goes into the visited set;
-    none found earlier can be reached again, being an ancestor of all that
-    follow, so every live reachable configuration is still expanded exactly
-    once. Each frontier entry is ``(configuration, path)``, the path linked
-    as ``(move, parent_path)``, so no configuration is kept once expanded.
-    The budget charges only what enters the visited set, its symbols plus
-    one each: before it exists the run is one path of at most 2n + 1 moves,
-    since each consume shrinks the input and no return follows one. A loop
-    state ends that path and stores nothing, so no :class:`SearchLimitError`
-    changes.
+    The graph is acyclic, so while every expansion has yielded at most one
+    live successor the live configurations found form one path that cannot
+    meet itself: the search follows that one successor, held in three
+    locals, stepping each state through its compiled step alone
+    (``aut.live_steps``), and links each move onto the path as ``(move,
+    parent_path)``. It hands the first two or more live successors, built by
+    :func:`_successors`, and the path to :func:`_frontier`.
     """
-    finals, live, table = aut.finals, aut.live, aut.live_steps
-    kind, grl = aut.kind, aut.kind is _RIGHT
+    finals, live, table, kind = aut.finals, aut.live, aut.live_steps, aut.kind
+    frontier = _frontier(aut, take)
 
     def search(start_left: str, state: str, start_right: str) -> tuple[bool, _Path]:
         if state not in live:
@@ -464,21 +477,46 @@ def _searcher(
         while True:
             if not left and not right and state in finals:
                 return True, path
-            if loops and state in loops:
-                return _drained(grl, loops[state], left, right), None
             step = table[state](left, right)
             if step.__class__ is list:
                 steps = _successors(kind, (left, state, right), live, table[state], step)
                 if len(steps) != 1:
-                    break
+                    size = len(start_left) + len(start_right)
+                    return frontier(steps, path, size) if steps else (False, None)
                 (move, (left, state, right)), = steps
             elif step:
                 move, (left, state, right) = step
             else:
                 return False, None
             path = (move, path)
-        if not steps:
-            return False, None
+
+    return search
+
+
+def _frontier(
+    aut: Automaton, take: Callable[[deque], object]
+) -> Callable[[list[tuple[Move, Configuration]], _Path, int], tuple[bool, _Path]]:
+    """The frontier phase of :func:`_searcher`'s and :func:`_decider`'s
+    searches, bound to ``aut``'s tables once: ``frontier(steps, path,
+    size)`` goes on from ``steps``, the two or more live successors of the
+    configuration that ``path`` reached, on an input of ``size`` symbols,
+    and returns what :func:`_searcher`'s search returns.
+
+    No search stores anything before this: its visited set and a frontier
+    that starts with ``steps`` are created here, and every step goes through
+    :func:`_successors`, in the order a frontier from the start would give;
+    ``take`` picks the next configuration to expand. Every configuration
+    discovered from then on goes into the visited set; none found earlier
+    can be reached again, being an ancestor of all that follow, so every
+    live reachable configuration is still expanded exactly once. A frontier
+    entry is ``(configuration, path)``, the path linked as ``(move,
+    parent_path)``. The budget charges only what enters the visited set, its
+    symbols plus one each: before, the run is one path of at most 2n + 1
+    moves, since each consume shrinks the input and no return follows one.
+    """
+    finals, live, table, kind = aut.finals, aut.live, aut.live_steps, aut.kind
+
+    def frontier_search(steps: list, path: _Path, size: int) -> tuple[bool, _Path]:
         limit = budget = MAX_STORED_SYMBOLS
         seen: set[Configuration] = set()
         frontier: deque = deque()
@@ -490,8 +528,7 @@ def _searcher(
                 budget -= len(nxt.left) + len(nxt.right) + 1
                 if budget < 0:
                     raise SearchLimitError(
-                        f"gave up after storing {limit} symbols"
-                        f" on input of length {len(start_left) + len(start_right)}"
+                        f"gave up after storing {limit} symbols on input of length {size}"
                     )
                 if not nxt.left and not nxt.right and nxt.state in finals:
                     return True, (move, path)
@@ -501,7 +538,34 @@ def _searcher(
             config, path = take(frontier)
             steps = _successors(kind, config, live, table[config.state])
 
-    return search
+    return frontier_search
+
+
+def _compile_drain(
+    grl: bool, state: str, word: str, alphabet: Sequence[str]
+) -> Callable[[str, str], _Stepped]:
+    """The step that :func:`_decider` takes in a final ``state`` whose only
+    rule loops on it, deleting ``word``, ``grl`` telling the kind: a move to
+    the bare final state if the run from ``(left, state, right)`` deletes all
+    the text, else ``()``. It rejects if a buffer holds a symbol of
+    ``alphabet`` that ``word`` lacks, since no move deletes it. Else it runs
+    :func:`_drained`'s passes, as ``grl`` ones if no proper prefix of
+    ``word`` is also a suffix (``ab``, ``aab``; not ``aa``, ``aba``): then
+    the rewriting system ``{word → ε}`` has no critical pairs and shrinks the
+    text, so it is confluent (Newman's lemma), every order of deletions ends
+    in the same text, and ``str.replace`` deletes what ``str.rsplit`` does.
+    """
+    accept: _Stepped = (None, ("", state, ""))
+    foreign = [a for a in alphabet if a not in word]
+    grl = grl or not any(word[:k] == word[-k:] for k in range(1, len(word)))
+
+    def drain(left: str, right: str) -> _Stepped:
+        for symbol in foreign:
+            if symbol in left or symbol in right:
+                return ()
+        return accept if _drained(grl, word, left, right) else ()
+
+    return drain
 
 
 def _drained(grl: bool, word: str, left: str, right: str) -> bool:

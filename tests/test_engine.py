@@ -275,12 +275,14 @@ class TestSuccessors:
         }
         # Bound before Kind is patched, as binding reads the kind; each then
         # searches from every configuration, stepping every state before it
-        # branches through its compiled step alone.
+        # branches through its compiled step alone, and each verdict path,
+        # its drains included, decides every short word.
         searches = [
-            (aut, engine._searcher(aut, take, loops))
+            (aut, engine._searcher(aut, take))
             for aut, _ in pairs
-            for take, loops in ((deque.pop, aut.loops), (deque.popleft, ()))
+            for take in (deque.pop, deque.popleft)
         ]
+        deciders = [(engine._decider(aut), list(iter_words(aut.alphabet, 6))) for aut, _ in pairs]
 
         def steps():
             out = []
@@ -294,6 +296,8 @@ class TestSuccessors:
                 out.append(lba._machine_successors(grl.rules_from, tape))
             for aut, search in searches:
                 out.extend(search(*config) for owner, config, _ in configs if owner is aut)
+            for decide, words in deciders:
+                out.extend(map(decide, words))
             return out
 
         expected = steps()
@@ -828,10 +832,29 @@ def loop_automata():
             yield make_automaton("grl", "ab", ["q0", "q1"], "q0", ["q1"], rules)
 
 
+def assert_drains_as_the_passes(words, texts):
+    """The compiled drain of every loop word in ``words`` gives
+    ``_drained``'s verdict on every text in ``texts``, split at 0 and at the
+    middle, for both kinds, over the alphabet ``abc``."""
+    for grl in (True, False):
+        for word in words:
+            drain = engine._compile_drain(grl, "q", word, "abc")
+            for text in texts:
+                for cut in {0, len(text) // 2}:
+                    left, right = text[:cut], text[cut:]
+                    accepted = engine._drained(grl, word, left, right)
+                    assert drain(left, right) == ((None, ("", "q", "")) if accepted else ()), (
+                        grl, word, left, right,
+                    )
+
+
 class TestLoopStates:
-    """The verdict path decides a run that reaches a loop state by deleting
-    whole passes at once; ``gll`` passes delete from the right, which differs
-    from ``str.replace`` on self-overlapping words (``aba`` on ``aababa``)."""
+    """The verdict path decides a run that reaches a loop state at once, by
+    the state's drain: a text that holds a symbol the loop word lacks
+    rejects; else it runs whole passes, where ``gll`` passes delete from the
+    right, which differs from ``str.replace`` on self-overlapping words
+    (``aba`` on ``aababa``), but not on a word with no border, which every
+    order of deletions drains alike, so both kinds take ``str.replace``."""
 
     def test_every_loop_decides_as_the_naive_search(self):
         machines = list(loop_automata())
@@ -850,6 +873,32 @@ class TestLoopStates:
                 back = word[::-1]
                 verdicts = (grl(word), member(aut, word)[0], gll(back), member(mirror, back)[0])
                 assert verdicts == (expected,) * 4, (aut.rules, word)
+
+    def test_every_drain_decides_as_the_passes(self):
+        # Texts over abc, so that symbols the loop word lacks occur.
+        texts = list(iter_words("abc", 8))
+        assert len(texts) == 9841
+        assert_drains_as_the_passes([w for w in iter_words("ab", 3) if w], texts)
+        # The case that makes gll passes delete from the right: a drain that
+        # took aba for a word with no border would empty it.
+        assert engine._compile_drain(False, "q", "aba", "ab")("aababa", "") == ()
+        # Every later pass deletes from the right too: q0 deletes bb and leaves
+        # aababa ahead of the gll head, which the run cuts down to aab. The
+        # passes are this test's reference, so the naive search checks them.
+        aut = make_automaton(
+            "gll", "ab", ["q0", "q1"], "q0", ["q1"], [("q0", "bb", "q1"), ("q1", "aba", "q1")]
+        )
+        assert engine._decider(aut)("bbaababa") is naive_member(aut, "bbaababa") is False
+
+    def test_a_foreign_symbol_rejects_before_any_pass(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a pass ran on a text that no move can empty")
+
+        monkeypatch.setattr(engine, "_drained", refuse)
+        for grl in (True, False):
+            drain = engine._compile_drain(grl, "q", "aba", "abc")
+            for left, right in (("abca", "ba"), ("ab", "abac"), ("c", ""), ("", "c")):
+                assert drain(left, right) == ()
 
 
 class TestInvariants:
@@ -997,12 +1046,14 @@ def successor_calls(search, aut, word):
     return accepted, len(log)
 
 
-def assert_expands_each_live_configuration_once(aut, word):
+def assert_expands_each_live_configuration_once(aut, word, member_calls=None):
     """On a rejected word both searches expand every live reachable
-    configuration exactly once, however long they go without branching."""
+    configuration exactly once, however long they go without branching.
+    ``member_calls`` is what :func:`successor_calls` gives for ``member``, if
+    the caller has logged that search already."""
     live = {c for c in helpers.walk_configs(aut, word) if c.state in aut.live}
-    for search in (member, shortest_trace):
-        assert successor_calls(search, aut, word) == (False, len(live))
+    assert (member_calls or successor_calls(member, aut, word)) == (False, len(live))
+    assert successor_calls(shortest_trace, aut, word) == (False, len(live))
 
 
 def verdict_search(aut, word):
@@ -1020,8 +1071,8 @@ def assert_depth_first_agrees(aut, word):
     # there. After a branch both expand alike, since the frontier search is
     # the same. With no loop state the two lists are equal.
     verdict, expanded = successor_log(verdict_search, aut, word)
-    _, member_expanded = successor_log(member, aut, word)
-    assert verdict == accepted
+    member_logged, member_expanded = successor_log(member, aut, word)
+    assert verdict == member_logged == accepted
     assert not any(state in aut.loops and not branched for state, branched in expanded)
     assert expanded == [
         (state, branched)
@@ -1033,7 +1084,7 @@ def assert_depth_first_agrees(aut, word):
         assert len(trace.moves) >= len(shortest.moves)
     else:
         assert trace is None
-        assert_expands_each_live_configuration_once(aut, word)
+        assert_expands_each_live_configuration_once(aut, word, (member_logged, len(member_expanded)))
 
 
 class TestDepthFirstMember:
@@ -1164,6 +1215,16 @@ class TestSearchStorage:
 class TestVerdictPath:
     """The sweeps decide each word by the one search and read its verdict
     only; ``assert_depth_first_agrees`` checks it against ``member``."""
+
+    def test_one_live_deletion_of_two_goes_on_alone(self):
+        # q0 deletes a into q1 or aa into the dead state d: only the first is
+        # kept, so the run goes on without a frontier, and q1's drain ends it.
+        aut = make_automaton(
+            "grl", "ab", ["q0", "q1", "d"], "q0", ["q1"],
+            [("q0", "a", "q1"), ("q0", "aa", "d"), ("q1", "ab", "q1")],
+        )
+        for word in iter_words("ab", 6):
+            assert_depth_first_agrees(aut, word)
 
     def test_search_limit_guard(self, monkeypatch):
         assert_stores_ten_symbols_rejecting_aab(monkeypatch, verdict_search)
