@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 from hypothesis import strategies as st
 
@@ -37,6 +37,14 @@ def lba_equivalence(aut: Automaton, max_len: int) -> list[str]:
         aut.alphabet, max_len, lambda w: lba_run(aut, w)[0], lambda w: member(aut, w)[0]
     )
     return [word for word, _, _ in diffs]
+
+
+def sweep_words(alphabet: str, max_len: int, share: int = 0, shares: int = 1):
+    """The reference for ``engine.iter_words``: each word joined from its own
+    ``product`` tuple, so share ``share`` of ``shares`` takes word ``j`` of
+    each length when ``j % shares == share``."""
+    for length in range(max_len + 1):
+        yield from map("".join, islice(product(alphabet, repeat=length), share, None, shares))
 
 
 def all_words(alphabet: str, lo: int, hi: int) -> list[str]:

@@ -170,7 +170,8 @@ class TestSuccessors:
         # length 4. Each also with a foreign z put anywhere in a word up to
         # length 1 (abc) or 2 (ab), on either side. So every shape of
         # compiled step runs, for both kinds: one rule, rules of one symbol
-        # each (the foreign z stopping their strip), and any other. The step
+        # each (the foreign z stopping their strip), rules of every symbol
+        # of abc (nothing to strip), and any other. The step
         # returns the deletions enabled_deletions finds exactly when there
         # are two or more, and they are the ones the literal side conditions
         # allow; otherwise it returns the lone kept successor, or (). The naive
@@ -223,7 +224,8 @@ class TestSuccessors:
                             pytest.fail(f"{kind.value} {rules} at {c}: {stepped}, want {want}")
                         branched += len(hits) > 1
         assert shapes == {
-            "general", "one_rule_grl", "one_rule_gll", "one_symbol_grl", "one_symbol_gll"
+            "general", "one_rule_grl", "one_rule_gll", "one_symbol_grl", "one_symbol_gll",
+            "every_symbol_grl", "every_symbol_gll",
         }
         assert branched > 0
 
@@ -232,11 +234,15 @@ class TestSuccessors:
             name: {q: step.__name__ for q, step in aut.live_steps.items()}
             for name, aut in helpers.corpus().items()
         }
-        assert shapes["cdyck-grl"] == {"q0": "one_symbol_grl", "q1": "one_rule_grl"}
-        assert shapes["dc-gll"] == {"q0": "one_symbol_gll", "q1": "one_rule_gll"}
+        assert shapes["cdyck-grl"] == {"q0": "every_symbol_grl", "q1": "one_rule_grl"}
+        assert shapes["dc-gll"] == {"q0": "every_symbol_gll", "q1": "one_rule_gll"}
         assert shapes["example1-rowj"] == {
-            "q0": "one_symbol_grl", "q2": "one_rule_grl", "q3": "one_rule_grl"
+            "q0": "every_symbol_grl", "q2": "one_rule_grl", "q3": "one_rule_grl"
         }
+        # Over abc, example1-rowj's q0 skips the c it cannot read.
+        rowj = load_bundled("example1-rowj")
+        skipping = make_automaton("grl", "abc", rowj.states, "q0", rowj.finals, rowj.rules)
+        assert skipping.live_steps["q0"].__name__ == "one_symbol_grl"
         assert shapes["nonrowj-grl"] == {
             "q0": "general", **{q: "one_rule_grl" for q in ("q1", "q2", "q3", "q4")}
         }
@@ -260,9 +266,12 @@ class TestSuccessors:
                 raise AssertionError(f"a step read Kind.{name}")
 
         grl = load_bundled("nonrowj-grl")  # branches on a and aa, and returns
-        rowj = load_bundled("example1-rowj")  # q0 reads a or b
+        rowj = load_bundled("example1-rowj")  # q0 reads a or b, every symbol
+        # Its rules over abc: q0 skips c.
+        rowjc = make_automaton("grl", "abc", rowj.states, "q0", rowj.finals, rowj.rules)
         pairs = ((grl, "aabbab"), (reverse_automaton(grl), "babbaa"),
-                 (rowj, "abbaa"), (reverse_automaton(rowj), "aabba"))
+                 (rowj, "abbaa"), (reverse_automaton(rowj), "aabba"),
+                 (rowjc, "cabbca"), (reverse_automaton(rowjc), "acbbac"))
         configs = [
             (aut, config, config.right if aut.kind is Kind.RIGHT else config.left)
             for aut, word in pairs
@@ -271,7 +280,8 @@ class TestSuccessors:
         tapes = [tape for tape, _, _ in helpers.walk_tape_edges(grl, "aabbab")]
         # Every shape of compiled step runs, for both kinds.
         assert {aut.live_steps[config.state].__name__ for aut, config, _ in configs} == {
-            "general", "one_rule_grl", "one_rule_gll", "one_symbol_grl", "one_symbol_gll"
+            "general", "one_rule_grl", "one_rule_gll", "one_symbol_grl", "one_symbol_gll",
+            "every_symbol_grl", "every_symbol_gll",
         }
         # Bound before Kind is patched, as binding reads the kind; each then
         # searches from every configuration, stepping every state before it
@@ -483,6 +493,20 @@ class TestEnumerate:
         assert list(iter_words("ab", 2)) == ["", "a", "b", "aa", "ab", "ba", "bb"]
         assert list(iter_words("ba", 1)) == ["", "b", "a"]
 
+    # The tails of length k - k // 2 number 1 (c), 2-16 (ab), 3-81 (abc) and
+    # 4-256 (abcd): some shares divide them, some do not.
+    @pytest.mark.parametrize(
+        "alphabet, max_len",
+        [("c", 14), ("ab", 8), ("ba", 8), ("abc", 8), ("cab", 8), ("abcd", 7)],
+    )
+    def test_every_share_equals_the_reference_enumeration(self, alphabet, max_len):
+        for shares in range(1, 18):
+            for share in range(shares):
+                got = list(iter_words(alphabet, max_len, share, shares))
+                assert got == list(helpers.sweep_words(alphabet, max_len, share, shares)), (
+                    share, shares,
+                )
+
     @pytest.mark.parametrize("alphabet", ["ab", "abc"])
     def test_shares_deal_the_sweep_round_robin_within_each_length(self, alphabet):
         for max_len in range(7):
@@ -501,8 +525,10 @@ class TestEnumerate:
 
 
 def sequential_differences(alphabet, max_len, first, second):
-    """The bounded sweep as its docstring states it, one word after another."""
-    verdicts = ((w, first(w), second(w)) for w in iter_words(alphabet, max_len))
+    """The bounded sweep as its docstring states it, one word after another,
+    over the reference enumeration, so a dealing bug in ``iter_words`` shows
+    on one side only."""
+    verdicts = ((w, first(w), second(w)) for w in helpers.sweep_words(alphabet, max_len))
     return [(w, x, y) for w, x, y in verdicts if x != y]
 
 
