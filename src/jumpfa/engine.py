@@ -76,8 +76,8 @@ MAX_STORED_SYMBOLS = 20_000_000
 MAX_SWEEP_SYMBOLS = 200_000_000
 # Fewest words per share for each fork the caller makes: a sweep of w words runs
 # in isqrt(w // SHARE_WORDS) processes at most, so one of 4,096 words forks once.
-# A fork round trip costs about 1.5 ms on a 2-CPU Linux VM (a 9-word sweep: 0.03 ms
-# in one process, 1.4-1.6 ms in two): 2,300-2,700 swept words at the 0.59-0.62 us
+# A fork round trip costs about 2 ms on a 2-CPU Linux VM (a 9-word sweep: 0.03-0.05
+# ms in one process, 1.9-2.2 ms in two): 3,400-4,800 swept words at the 0.46-0.55 us
 # a word, both verdicts, of the bench's two 265,720-word compares in one process.
 SHARE_WORDS = 2**10
 # The right-linear kind, read once: on Python 3.11 reading an Enum member
@@ -430,14 +430,18 @@ def _decider(aut: Automaton) -> Callable[[str], bool]:
     move. A state of ``aut.loops`` steps by its drain (:func:`_compile_drain`),
     so a run that reaches one before it branches ends there. The start
     state's step (its drain, if it loops) is read once, here, and taken
-    before the loop, which tests acceptance before each later step; only
-    the empty word on a final start accepts with no step, so the path makes
-    no expansion :func:`member` does not make but for the drained ones. At
-    the first step with two or more live deletions it hands them, built by
-    :func:`_successors`, and the whole input's length to :func:`_frontier`,
-    which steps loop states one move at a time. On the bench's two
-    265,720-word compares a word costs 0.59-0.62 µs in one process, this
-    verdict and the oracle's (2-CPU Linux VM, Python 3.11).
+    before the loop, which tests acceptance before each later step. A start
+    that does not loop and whose rules read every symbol, one each (a state
+    of the original one-way jumping automaton), moves by the first symbol
+    alone (the last for ``gll``): ``heads`` maps it to the live rule, or to
+    ``()`` if the rule leads to a dead state, which rejects; the empty word
+    finds no rule and is accepted iff the start is final. So the path makes
+    no expansion :func:`member` does not make, and skips the drained ones
+    and such a start's. At the first step with two or more live deletions
+    it hands them, built by :func:`_successors`, and the whole input's
+    length to :func:`_frontier`, which steps loop states one move at a
+    time. On the bench's two 265,720-word compares a word costs 0.46-0.55 µs
+    in one process, this verdict and the oracle's (2-CPU Linux VM, Python 3.11).
     """
     start, finals, live, kind = aut.start, aut.finals, aut.live, aut.kind
     if start not in live:
@@ -445,13 +449,26 @@ def _decider(aut: Automaton) -> Callable[[str], bool]:
     grl = kind is _RIGHT
     drains = {q: _compile_drain(grl, q, word, aut.alphabet) for q, word in aut.loops.items()}
     table, frontier = {**aut.live_steps, **drains}, _frontier(aut, deque.pop)
-    first = table[start]
+    first, rules = table[start], aut.rules_from[start]
+    # Rule words are over the alphabet, one rule a word: these read one symbol each.
+    heads = None
+    if start not in drains and {rule.word for rule in rules} == aut.symbols:
+        heads = {rule.word: rule if rule.dst in live else () for rule in rules}
 
     def decide(word: str) -> bool:
-        if not word and start in finals:
-            return True
-        left, state, right = ("", start, word) if grl else (word, start, "")
-        step = first(left, right)
+        if heads is not None:
+            rule = heads.get(word[:1] if grl else word[-1:])
+            if not rule:  # a dead rule's (), or None on the empty word
+                return rule is None and start in finals
+            left, state, right = ("", rule.dst, word[1:]) if grl else (word[:-1], rule.dst, "")
+            if not left and not right and state in finals:
+                return True
+            step = table[state](left, right)
+        else:
+            if not word and start in finals:
+                return True
+            left, state, right = ("", start, word) if grl else (word, start, "")
+            step = first(left, right)
         while step:
             if step.__class__ is list:
                 steps = _successors(kind, (left, state, right), live, table[state], step)
@@ -718,9 +735,13 @@ def _sweep_processes(words: int) -> int:
     words each share must hold to pay for the forks before it: with ``p``
     processes each share holds at least ``SHARE_WORDS`` words per fork. On 2
     CPUs every sweep of 4,096 words or more forks; the 265,720 words of
-    length <= 11 over three letters take 16 processes at most. A forked
-    child of a process with a second thread can deadlock, and ``threading``
-    is read from ``sys.modules`` so that the check imports nothing."""
+    length <= 11 over three letters take 16 processes at most. The CPUs are
+    the usable ones, not the idle ones, so that whether a sweep forks does
+    not depend on what else runs: with another process holding the second
+    of 2 CPUs, a forked 8,191-word sweep ran 0.75-0.78x as fast as in one
+    process. A forked child of a process with a second thread can deadlock,
+    and ``threading`` is read from ``sys.modules`` so that the check
+    imports nothing."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
         return 1

@@ -1087,22 +1087,40 @@ def verdict_search(aut, word):
     return engine._decider(aut)(word), None
 
 
+def reads_every_symbol_at_the_start(aut):
+    """Whether the verdict path takes the start's move by one lookup: the
+    start is live, no loop state, and its rules read every symbol, one each."""
+    words = [rule.word for rule in aut.rules_from[aut.start]]
+    return (
+        aut.start in aut.live and aut.start not in aut.loops
+        and all(len(w) == 1 for w in words) and set(words) >= set(aut.alphabet)
+    )
+
+
 def assert_depth_first_agrees(aut, word):
     accepted, trace = member(aut, word)
     shortest_accepted, shortest = shortest_trace(aut, word)
     assert accepted == shortest_accepted
     # The verdict path decides alike and expands the configurations member
-    # expands, save one kind: it decides a run that reaches a loop state
-    # before the search branches at once, so it never expands a loop state
-    # there. After a branch both expand alike, since the frontier search is
-    # the same. With no loop state the two lists are equal.
+    # expands, save two kinds. A start that reads every symbol moves by one
+    # lookup of the first symbol (the last for gll), not by its step, so
+    # member's first expansion, the start's, is not made; member makes none
+    # only on the empty word at a final start. And it decides a run that
+    # reaches a loop state before the search branches at once, so it never
+    # expands a loop state there. After a branch both expand alike, since the
+    # frontier search is the same. Otherwise the two lists are equal.
     verdict, expanded = successor_log(verdict_search, aut, word)
     member_logged, member_expanded = successor_log(member, aut, word)
     assert verdict == member_logged == accepted
+    after_start = member_expanded
+    if reads_every_symbol_at_the_start(aut):
+        at_start = [] if not word and aut.start in aut.finals else [(aut.start, False)]
+        assert member_expanded[:1] == at_start
+        after_start = member_expanded[1:]
     assert not any(state in aut.loops and not branched for state, branched in expanded)
     assert expanded == [
         (state, branched)
-        for state, branched in member_expanded
+        for state, branched in after_start
         if branched or state not in aut.loops
     ]
     if accepted:
@@ -1254,6 +1272,21 @@ class TestVerdictPath:
 
     def test_search_limit_guard(self, monkeypatch):
         assert_stores_ten_symbols_rejecting_aab(monkeypatch, verdict_search)
+
+    def test_a_start_that_reads_every_symbol_moves_by_one_lookup(self):
+        # q0 reads a, b and c, one rule each: the first symbol (the last for
+        # gll) picks the move, and a or b leads into the dead state q2, so
+        # the word rejects with no step called; c leads into q1, a loop state
+        # on ab, whose drain decides the rest with no step called either.
+        dc, cdyck = load_bundled("dc-gll"), load_bundled("cdyck-grl")
+        assert reads_every_symbol_at_the_start(dc) and reads_every_symbol_at_the_start(cdyck)
+        assert successor_log(verdict_search, dc, "abca") == (False, [])
+        assert successor_log(verdict_search, cdyck, "abc") == (False, [])
+        assert successor_log(verdict_search, dc, "abc") == (True, [])
+        assert successor_log(verdict_search, cdyck, "cab") == (True, [])
+        # The empty word makes no step either: it is accepted iff q0 is final.
+        assert successor_log(verdict_search, dc, "") == (False, [])
+        assert successor_log(verdict_search, load_bundled("astarbstar-dfa"), "") == (True, [])
 
     def test_sweeps_check_no_word_and_build_no_trace(self, monkeypatch):
         dyck, exrl, exrl_left = (load_bundled(n) for n in ("dyck-grl", "exrl-grl", "exrl-gll"))
