@@ -76,9 +76,7 @@ MAX_STORED_SYMBOLS = 20_000_000
 MAX_SWEEP_SYMBOLS = 200_000_000
 # Fewest words per share for each fork the caller makes: a sweep of w words runs
 # in isqrt(w // SHARE_WORDS) processes at most, so one of 4,096 words forks once.
-# A fork round trip costs about 2 ms on a 2-CPU Linux VM (a 9-word sweep: 0.03-0.05
-# ms in one process, 1.9-2.2 ms in two): 3,400-4,800 swept words at the 0.46-0.55 us
-# a word, both verdicts, of the bench's two 265,720-word compares in one process.
+# A fork round trip costs as much as a few thousand swept words, both verdicts.
 SHARE_WORDS = 2**10
 # The right-linear kind, read once: on Python 3.11 reading an Enum member
 # costs about ten times a module global, and every step tests the kind.
@@ -410,10 +408,10 @@ def _traced(aut: Automaton, word: str, take: Callable) -> tuple[bool, Trace | No
     """:func:`_searcher`'s search, its path made a :class:`Trace`. It steps
     through a loop state move by move, since a trace lists every move, so a
     run ended by a drain would have to spell them out again. When ``member``
-    took that shortcut anyway, the bench's ``long`` workload decided 1.56x
-    as many words a second, but its ``peak_rss_mb``, which grows with the
-    rounds a run completes, rose past its bound. A dead start rejects before
-    the search reads any table."""
+    took that shortcut anyway, the bench's ``long`` workload decided more
+    words a second, but its ``peak_rss_mb``, which grows with the rounds a
+    run completes, rose past its bound. A dead start rejects before the
+    search reads any table."""
     start = initial_config(aut, word)
     if aut.start not in aut.live:
         return False, None
@@ -440,8 +438,7 @@ def _decider(aut: Automaton) -> Callable[[str], bool]:
     and such a start's. At the first step with two or more live deletions
     it hands them, built by :func:`_successors`, and the whole input's
     length to :func:`_frontier`, which steps loop states one move at a
-    time. On the bench's two 265,720-word compares a word costs 0.46-0.55 µs
-    in one process, this verdict and the oracle's (2-CPU Linux VM, Python 3.11).
+    time.
     """
     start, finals, live, kind = aut.start, aut.finals, aut.live, aut.kind
     if start not in live:
@@ -647,8 +644,8 @@ def iter_words(
     (in order) takes every ``shares``-th of them from the offset that makes
     word ``j = h * len(tails) + t`` fall to share ``j % shares``. Each word
     comes from a C ``map`` through ``chain``, not joined from a tuple of
-    letters nor yielded by a Python frame: over three letters up to length
-    11, about 75 ns a word against 110 ns for ``"".join`` over ``product``."""
+    letters nor yielded by a Python frame: one concatenation a word costs
+    less than ``"".join`` over ``product``."""
     return chain.from_iterable(
         map(head.__add__, tails[(share - index * len(tails)) % shares::shares])
         for length in range(max_len + 1)
@@ -737,11 +734,10 @@ def _sweep_processes(words: int) -> int:
     CPUs every sweep of 4,096 words or more forks; the 265,720 words of
     length <= 11 over three letters take 16 processes at most. The CPUs are
     the usable ones, not the idle ones, so that whether a sweep forks does
-    not depend on what else runs: with another process holding the second
-    of 2 CPUs, a forked 8,191-word sweep ran 0.75-0.78x as fast as in one
-    process. A forked child of a process with a second thread can deadlock,
-    and ``threading`` is read from ``sys.modules`` so that the check
-    imports nothing."""
+    not depend on what else runs, though a forked sweep runs slower than one
+    process while another process holds the second of 2 CPUs. A forked
+    child of a process with a second thread can deadlock, and ``threading``
+    is read from ``sys.modules`` so that the check imports nothing."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
         return 1

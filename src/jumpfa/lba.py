@@ -11,7 +11,8 @@ no input symbol can be, and the marked cells are physically removed (the
 surviving cells shift left, markers pulled in) only when the head would run
 past the right marker or when nothing ahead of the head is readable. The
 second case also realizes the engine's wrap-around move: after compaction the
-head stands on the first surviving cell. Compaction is one ``str.replace``.
+head stands on the first surviving cell. Compaction is one ``str.replace``
+(one join, before the run branches).
 
 Some cell is marked exactly when the head is not leftmost: a step that does
 not compact parks the head just past the word it marked, and the start and
@@ -23,10 +24,15 @@ Nondeterministic rule choice is resolved by breadth-first search over machine
 configurations. As in the engine's search, there is no queue and nothing is
 stored until the run branches: a run that has not branched is one path, which
 cannot meet itself in an acyclic graph, so the machine follows each lone
-successor with only its depth and compaction count. The visited set and the
-queue are created at the first macro-step with two or more successors; the
-set cuts branches that meet again (rules ``a`` and ``aa`` mark the same
-cells).
+successor with only its depth and compaction count. Nor does it build its
+tape on that path, since nothing reads the marks before the next compaction:
+it keeps the unmarked cells from the head on, and the cells left of the head
+as pieces, text and ``MARK`` runs in turn. A step that marks appends two
+pieces and keeps the cells past the word; a compaction joins the text pieces,
+the one copy of the whole tape. The first macro-step with two or more
+successors builds its :class:`TapeConfig`, and there the visited set and the
+queue are created; the set cuts branches that meet again (rules ``a`` and
+``aa`` mark the same cells).
 
 Gap checking uses every word readable in the current state, through the
 engine's consume rule (:func:`jumpfa.engine.enabled_deletions`); checking only
@@ -103,23 +109,33 @@ def lba_run(aut: Automaton, word: str) -> tuple[bool, SpaceReport]:
         aut, word = aut.reversal, word[::-1]
     rules_from, finals = aut.rules_from, aut.finals
 
-    start = TapeConfig(aut.start, word, 0)
     max_cells = len(word) + 2  # the initial tape is the high-water mark; it only shrinks
-    if not start.cells and start.state in finals:
-        return True, SpaceReport(max_cells, 0, 0)
-
     limit = budget = engine.MAX_STORED_SYMBOLS
+    # The tape is "".join(behind) + rest, with the head at the start of rest.
+    state, rest, behind = aut.start, word, []
     depth = compactions = 0
-    steps = _machine_successors(rules_from, start)
-    while len(steps) == 1:
-        (config,) = steps
-        depth += 1
-        compactions += not config.head
-        if not config.cells and config.state in finals:
+    while True:
+        if not rest and not behind and state in finals:
             return True, SpaceReport(max_cells, compactions, depth)
-        steps = _machine_successors(rules_from, config)
-    if not steps:
-        return False, SpaceReport(max_cells, compactions, depth)
+        moves = enabled_deletions(_RIGHT, rules_from.get(state, ()), rest)
+        if len(moves) > 1:
+            break
+        if not moves and not behind:
+            return False, SpaceReport(max_cells, compactions, depth)
+        depth += 1
+        if moves:
+            ((rule, pos),) = moves
+            state, hi = rule.dst, pos + len(rule.word)
+            if hi < len(rest):
+                behind += rest[:pos], MARK * (hi - pos)
+                rest = rest[hi:]
+                continue
+            rest = rest[:pos]
+        # Compaction: the text pieces joined, the one copy of the whole tape.
+        rest, behind = "".join(behind[::2]) + rest, []
+        compactions += 1
+    left = "".join(behind)
+    steps = _machine_successors(rules_from, TapeConfig(state, left + rest, len(left)))
     worst_steps, worst_compactions = depth, compactions
     visited: set[TapeConfig] = set()
     queue: deque[tuple[TapeConfig, int, int]] = deque()

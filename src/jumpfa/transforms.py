@@ -4,14 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import (
-    Automaton,
-    JumpfaError,
-    Kind,
-    Rule,
-    check_word,
-    make_automaton,
-)
+from .core import Automaton, JumpfaError, Kind, check_word
 from .engine import _decider, differences, member  # noqa: F401 (the bench tracer wraps member)
 
 
@@ -35,16 +28,15 @@ class OneWayConfig(NamedTuple):
 
 
 def reverse_automaton(aut: Automaton) -> Automaton:
-    """Flip the kind and reverse every rule word.
+    """Flip the kind and reverse every rule word: ``aut.reversal``, which is
+    built once per automaton.
 
     The result accepts exactly the mirror images of the original language and
     simulates it step for step: a move between two configurations exists in
     one machine iff the move between their mirrored configurations (buffers
     swapped and reversed) exists in the other.
     """
-    flipped = Kind.LEFT if aut.kind is Kind.RIGHT else Kind.RIGHT
-    rules = [Rule(r.src, r.word[::-1], r.dst) for r in aut.rules]
-    return make_automaton(flipped, aut.alphabet, aut.states, aut.start, aut.finals, rules)
+    return aut.reversal
 
 
 def is_unit_rule(aut: Automaton) -> bool:

@@ -4,14 +4,23 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import deque
 from functools import lru_cache
 from itertools import islice, product
 
 from hypothesis import strategies as st
 
-from jumpfa.core import Automaton, Kind, Rule, make_automaton
-from jumpfa.engine import Configuration, differences, initial_config, member, successors
-from jumpfa.lba import TapeConfig, _machine_successors, lba_run
+from jumpfa import engine
+from jumpfa.core import Automaton, Kind, Rule, check_word, make_automaton
+from jumpfa.engine import (
+    Configuration,
+    SearchLimitError,
+    differences,
+    initial_config,
+    member,
+    successors,
+)
+from jumpfa.lba import SpaceReport, TapeConfig, _machine_successors, lba_run
 from jumpfa.oracles import CORPUS_CLAIMS, load_bundled
 
 
@@ -37,6 +46,58 @@ def lba_equivalence(aut: Automaton, max_len: int) -> list[str]:
         aut.alphabet, max_len, lambda w: lba_run(aut, w)[0], lambda w: member(aut, w)[0]
     )
     return [word for word, _, _ in diffs]
+
+
+def lba_run_by_macro_steps(aut: Automaton, word: str) -> tuple[bool, SpaceReport]:
+    """The reference for ``lba.lba_run``: the same search, but each
+    macro-step, the lone successors before the first branch included, builds
+    its whole tape by ``lba._machine_successors``."""
+    check_word(aut, word)
+    if aut.kind is Kind.LEFT:
+        aut, word = aut.reversal, word[::-1]
+    rules_from, finals = aut.rules_from, aut.finals
+
+    start = TapeConfig(aut.start, word, 0)
+    max_cells = len(word) + 2
+    if not start.cells and start.state in finals:
+        return True, SpaceReport(max_cells, 0, 0)
+
+    limit = budget = engine.MAX_STORED_SYMBOLS
+    depth = compactions = 0
+    steps = _machine_successors(rules_from, start)
+    while len(steps) == 1:
+        (config,) = steps
+        depth += 1
+        compactions += not config.head
+        if not config.cells and config.state in finals:
+            return True, SpaceReport(max_cells, compactions, depth)
+        steps = _machine_successors(rules_from, config)
+    if not steps:
+        return False, SpaceReport(max_cells, compactions, depth)
+    worst_steps, worst_compactions = depth, compactions
+    visited: set[TapeConfig] = set()
+    queue: deque[tuple[TapeConfig, int, int]] = deque()
+    while True:
+        for nxt in steps:
+            if nxt in visited:
+                continue
+            visited.add(nxt)
+            budget -= len(nxt.cells) + 1
+            if budget < 0:
+                raise SearchLimitError(
+                    f"gave up after storing {limit} symbols on input of length {len(word)}"
+                )
+            nxt_depth = depth + 1
+            nxt_compactions = compactions + (not nxt.head)
+            worst_steps = max(worst_steps, nxt_depth)
+            worst_compactions = max(worst_compactions, nxt_compactions)
+            if not nxt.cells and nxt.state in finals:
+                return True, SpaceReport(max_cells, worst_compactions, worst_steps)
+            queue.append((nxt, nxt_depth, nxt_compactions))
+        if not queue:
+            return False, SpaceReport(max_cells, worst_compactions, worst_steps)
+        config, depth, compactions = queue.popleft()
+        steps = _machine_successors(rules_from, config)
 
 
 def sweep_words(alphabet: str, max_len: int, share: int = 0, shares: int = 1):

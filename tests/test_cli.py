@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import output_digest
 from jumpfa import cli
 from jumpfa.cli import run_cli
 from jumpfa.core import make_automaton, serialize_automaton
@@ -326,6 +327,20 @@ class TestSharedParser:
         assert shared == fresh
         codes = [code for code, _, _ in shared[: len(self.ARGVS)]]
         assert codes == [0, 2, 1, 0, 0, 2, 2, 0, 0, 1]
+
+
+class TestOutputDigest:
+    def test_the_command_set_prints_what_the_committed_digest_pins(self):
+        records = [output_digest.run(argv) for argv in output_digest.commands()]
+        whole, parts = output_digest.digests(records)
+        assert output_digest.moved(parts) == []
+        assert whole == output_digest.DIGEST
+        # A changed line of one command moves that subcommand's digest alone.
+        argv, code, out, err = records[-1]
+        records[-1] = argv, code, out.replace("steps=", "steps=1"), err
+        whole, parts = output_digest.digests(records)
+        assert whole != output_digest.DIGEST
+        assert output_digest.moved(parts) == ["lba"]
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")

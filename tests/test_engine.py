@@ -820,11 +820,13 @@ class TestSmallScope:
                 expected = naive_member(aut, word)
                 accepted, trace = member(aut, word)
                 shortest_accepted, shortest = shortest_trace(aut, word)
+                lba_accepted, report = lba_run(aut, word)
+                assert (lba_accepted, report) == helpers.lba_run_by_macro_steps(aut, word)
                 verdicts = (
                     accepted,
                     shortest_accepted,
                     decide(word),
-                    lba_run(aut, word)[0],
+                    lba_accepted,
                     one_way_reference_member(aut, word) if unit else expected,
                 )
                 where = (aut.kind, aut.finals, aut.rules, word)
@@ -840,8 +842,12 @@ class TestSmallScope:
 
     def test_the_cached_reversal_is_the_validated_one(self):
         for aut in small_scope_automata():
-            assert aut.reversal == reverse_automaton(aut)
-            assert aut.reversal is aut.reversal
+            flipped = Kind.LEFT if aut.kind is Kind.RIGHT else Kind.RIGHT
+            rules = [(r.src, r.word[::-1], r.dst) for r in aut.rules]
+            assert aut.reversal == make_automaton(
+                flipped, aut.alphabet, aut.states, aut.start, aut.finals, rules
+            )
+            assert aut.reversal is aut.reversal is reverse_automaton(aut)
 
 
 def loop_automata():

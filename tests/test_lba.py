@@ -28,6 +28,21 @@ def projection(config: TapeConfig) -> Configuration:
     return Configuration(kept_left, config.state, config.cells[config.head:])
 
 
+def unbranched_prefix(aut, word) -> set[TapeConfig]:
+    """The tapes of the run on ``word`` before its first with two or more
+    successors, from the edges of ``helpers.walk_tape_edges``."""
+    children = {}
+    for parent, _, child in helpers.walk_tape_edges(aut, word):
+        children.setdefault(parent, []).append(child)
+    tape, prefix = TapeConfig(aut.start, word, 0), set()
+    while len(children.get(tape, ())) < 2:
+        prefix.add(tape)
+        if tape not in children:
+            break
+        (tape,) = children[tape]
+    return prefix
+
+
 class TestRuns:
     def test_balanced_word_uses_whole_tape(self):
         accepted, report = lba_run(load_bundled("dyck-grl"), "aabb")
@@ -60,20 +75,28 @@ class TestRuns:
         assert report.steps == 0  # stuck with nothing marked: the tape halts
 
     def test_each_reachable_configuration_is_expanded_once(self, monkeypatch):
-        """On ``aab``, rules ``a`` and ``aa`` reach ``('q', '##b', 2)`` by two
-        routes, and ``b`` empties the tape in the non-final state ``p``, where
-        the run halts."""
+        """Past its first branch, the run expands each tape it reaches once. On
+        ``aab``, rules ``a`` and ``aa`` reach ``('q', '##b', 2)`` by two routes,
+        and ``b`` empties the tape in the non-final state ``p``, where the run
+        halts. The tapes before the first branch are stepped without
+        ``_machine_successors``: none on ``aab``, which branches at once, all
+        of them on ``ab``, which never branches, and two on ``baaab``, which
+        marks ``b`` and then its first ``a`` before it branches."""
         aut = make_automaton(
             "grl", "ab", ["q", "p"], "q", ["q"],
-            [("q", "a", "q"), ("q", "aa", "q"), ("q", "b", "p")],
+            [("q", "a", "q"), ("q", "aa", "q"), ("q", "b", "p"), ("p", "a", "q")],
         )
-        words = ["aab", "aaab", "ab", "b", "ba", "abab"]
+        words = ["aab", "aaab", "ab", "b", "baab", "abab", "baaab"]
+        unexpanded = {word: unbranched_prefix(aut, word) for word in words}
         reachable = {
             word: {TapeConfig(aut.start, word, 0)}
             | {child for _, _, child in helpers.walk_tape_edges(aut, word)}
             for word in words
         }
         assert {TapeConfig("q", "##b", 2), TapeConfig("p", "", 0)} <= reachable["aab"]
+        assert unexpanded["aab"] == set()
+        assert unexpanded["ab"] == reachable["ab"]
+        assert unexpanded["baaab"] == {TapeConfig("q", "baaab", 0), TapeConfig("p", "#aaab", 1)}
         machine_successors = lba._machine_successors
         expanded = Counter()
 
@@ -85,7 +108,7 @@ class TestRuns:
         for word in words:
             expanded.clear()
             assert not lba_run(aut, word)[0]
-            assert expanded == Counter(reachable[word]), word
+            assert expanded == Counter(reachable[word] - unexpanded[word]), word
 
     def test_long_balanced_word_report(self):
         """The reports were measured with a per-cell compaction, independent of
@@ -156,6 +179,17 @@ class TestEquivalence:
         assert helpers.lba_equivalence(load_bundled("bmabbn-grl"), 6) == []
         assert helpers.lba_equivalence(load_bundled("nonrowj-grl"), 6) == []
 
+    def test_runs_as_the_per_macro_step_reference(self):
+        for name, aut in helpers.corpus().items():
+            for word in iter_words(aut.alphabet, 7):
+                expected = helpers.lba_run_by_macro_steps(aut, word)
+                assert lba_run(aut, word) == expected, (name, word)
+        k = 2000
+        for name in ("dyck-grl", "dyck-gll"):
+            aut = load_bundled(name)
+            for word in ("a" * k + "b" * k, "ab" * k, "a" * k + "b" * (k - 1) + "a"):
+                assert lba_run(aut, word) == helpers.lba_run_by_macro_steps(aut, word), name
+
     def test_random_machines_smoke(self):
         rnd = random.Random(20240817)
         for _ in range(10):
@@ -164,7 +198,16 @@ class TestEquivalence:
 
     def test_corrupted_machine_diverges_from_engine(self, monkeypatch):
         # A machine that refuses to compact a stuck tape with marked cells
-        # loses every run that needs a wrap-around.
+        # loses every run that needs a wrap-around past its first branch:
+        # nonrowj-grl branches on its first a, by rules a and aa, and aabbab
+        # needs no wrap-around.
+        aut = load_bundled("nonrowj-grl")
+        words = ["aabb", "aaabbb", "aabbab"]
+        assert [lba_run(aut, w) for w in words] == [
+            (True, SpaceReport(6, 2, 5)),
+            (True, SpaceReport(8, 3, 8)),
+            (True, SpaceReport(8, 2, 6)),
+        ]
         machine_successors = lba._machine_successors
 
         def never_compact_when_stuck(rules_from, config):
@@ -174,6 +217,8 @@ class TestEquivalence:
             return machine_successors(rules_from, config)
 
         monkeypatch.setattr(lba, "_machine_successors", never_compact_when_stuck)
-        aut = load_bundled("dyck-grl")
-        broken = [w for w in iter_words(aut.alphabet, 6) if lba_run(aut, w)[0] != member(aut, w)[0]]
-        assert "aabb" in broken
+        assert [lba_run(aut, w) for w in words] == [
+            (False, SpaceReport(6, 0, 2)),
+            (False, SpaceReport(8, 0, 2)),
+            (True, SpaceReport(8, 2, 6)),
+        ]
