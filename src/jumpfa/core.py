@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 EMPTY_WORD = "<eps>"
 
@@ -112,10 +112,9 @@ class Automaton(_AutomatonFields):
       state outside ``live``.
     * ``loops`` maps each final state whose only rule loops on it to the
       rule's word; a state whose only rule loops is live only if final.
-    * ``live_steps`` maps each live state to its step toward the live states,
-      and ``steps`` each state to its step toward every state, as
-      :func:`jumpfa.engine._compile_step` builds them: the searches step by
-      the first, :func:`jumpfa.engine.successors` by the second.
+    * ``live_steps`` maps each live state to its step toward the live
+      states, as :func:`jumpfa.engine._compile_step` builds it; the searches
+      step by it.
     * ``reversal`` flips the kind and reverses every rule word, with no
       validation: the reversal of a valid automaton is valid.
 
@@ -152,17 +151,10 @@ class Automaton(_AutomatonFields):
         return {q: rules[0].word for q, rules in finals if len(rules) == 1 and rules[0].dst == q}
 
     @cached_property
-    def steps(self) -> Mapping[str, Callable[[str, str], object]]:
-        return self._steps(self.states)
-
-    @cached_property
     def live_steps(self) -> Mapping[str, Callable[[str, str], object]]:
-        return self._steps(self.live)
-
-    def _steps(self, keep: Collection[str]) -> Mapping[str, Callable[[str, str], object]]:
         from .engine import _compile_step  # the engine builds on this module
-        rules_from, kind, alphabet = self.rules_from, self.kind, self.alphabet
-        return {q: _compile_step(kind, q, rules_from[q], keep, alphabet) for q in keep}
+        rules_from, kind, alphabet, live = self.rules_from, self.kind, self.alphabet, self.live
+        return {q: _compile_step(kind, q, rules_from[q], live, alphabet) for q in live}
 
     @cached_property
     def reversal(self) -> Automaton:

@@ -38,9 +38,9 @@ rules are fixed, so its step is compiled once per automaton, as a closure
 one strip of the symbols the state cannot read (``str.lstrip``,
 ``str.rstrip`` for ``gll``), none if it reads them all, and one lookup for
 rules of one symbol each, as in the original one-way jumping automaton;
-:func:`enabled_deletions` for any other. A step returns one successor at
-most as a plain tuple, and hands two or more enabled deletions to
-:func:`_successors`, which builds each.
+:func:`enabled_deletions` for any other. A step returns its kept
+successors: none, one as a plain tuple, or two or more as a list of
+:class:`Configuration` values, built by :func:`_deletions`.
 
 The search prunes dead states, those from which no final state is reachable
 along the rules (``Automaton.live`` holds the others): a step builds only the
@@ -78,8 +78,8 @@ MAX_SWEEP_SYMBOLS = 200_000_000
 # in isqrt(w // SHARE_WORDS) processes at most, so one of 4,096 words forks once.
 # A fork round trip costs as much as a few thousand swept words, both verdicts.
 SHARE_WORDS = 2**10
-# The right-linear kind, read once: on Python 3.11 reading an Enum member
-# costs about ten times a module global, and every step tests the kind.
+# The right-linear kind, read once: reading an Enum member costs more than
+# reading a module global, and every step tests the kind.
 _RIGHT = Kind.RIGHT
 
 
@@ -100,7 +100,7 @@ class Configuration(NamedTuple):
 Move = Rule | None
 
 # What a compiled step returns (see _compile_step).
-_Stepped = tuple[Move, tuple[str, str, str]] | tuple[()] | list[tuple[Rule, int]]
+_Stepped = tuple[Move, tuple[str, str, str]] | tuple[()] | list[tuple[Rule, Configuration]]
 
 # The moves that reached a configuration, last first: ``(move, parent_path)``,
 # with ``None`` at the start configuration.
@@ -216,11 +216,12 @@ def _compile_step(
     kind: Kind, state: str, rules: Sequence[Rule], keep: Container[str], alphabet: Sequence[str],
 ) -> Callable[[str, str], _Stepped]:
     """The step of ``state``, whose rules are ``rules``, toward the states in
-    ``keep``, which holds ``state``: ``step(left, right)`` returns the move
-    and the successor as a plain tuple, ``()`` if that successor is not kept
-    or there is no text to wrap, or the two or more enabled deletions, as
-    :func:`enabled_deletions` lists them. It reads the kind, the rules and
-    ``keep`` once, here, into one of three shapes:
+    ``keep``, which holds ``state``: ``step(left, right)`` returns its
+    successors whose state is in ``keep``. That is ``()`` if there is none,
+    ``(move, (left, state, right))`` if there is one, and otherwise the list
+    of ``(rule, Configuration)`` pairs, in rule order, that
+    :func:`_deletions` builds. It reads the kind, the rules and ``keep``
+    once, here, into one of three shapes:
 
     * one rule: one ``find`` of its word (``rfind`` for ``gll``);
     * rules of one symbol each: one strip of the symbols of ``alphabet`` the
@@ -252,7 +253,8 @@ def _compile_step(
     def general(left: str, right: str) -> _Stepped:
         hits = enabled_deletions(kind, rules, right if grl else left)
         if len(hits) > 1:
-            return hits
+            kept = _deletions(grl, left, right, hits, keep)
+            return kept if len(kept) > 1 else kept[0] if kept else ()
         if not hits:
             if grl:
                 return (None, ("", state, left + right)) if left else ()
@@ -305,20 +307,14 @@ def _compile_step(
     return one_symbol_grl if grl else one_symbol_gll
 
 
-def _successors(
-    kind: Kind, config: Configuration, keep: Container[str],
-    step: Callable[[str, str], _Stepped], hits: list[tuple[Rule, int]] | None = None,
-) -> list[tuple[Move, Configuration]]:
-    """The successors of ``config`` whose state is in ``keep``, which holds
-    ``config.state``, as :class:`Configuration` values: what ``step``, the
-    state's compiled step toward ``keep``, returns on ``config``, or the kept
-    deletions among ``hits``, two or more it returned there, with no return."""
-    left, _, right = config
-    if hits is None:
-        hits = step(left, right)
-        if hits.__class__ is not list:
-            return [(hits[0], Configuration._make(hits[1]))] if hits else []
-    if kind is _RIGHT:
+def _deletions(
+    grl: bool, left: str, right: str, hits: list[tuple[Rule, int]], keep: Container[str],
+) -> list[tuple[Rule, Configuration]]:
+    """The successors that the deletions ``hits``, which
+    :func:`enabled_deletions` found on the buffer the head scans, make of
+    ``(left, state, right)``: a ``(rule, Configuration)`` pair for each
+    whose state is in ``keep``, in rule order. ``grl`` tells the kind."""
+    if grl:
         return [(rule, Configuration(left + right[:pos], rule.dst, right[pos + len(rule.word):]))
                 for rule, pos in hits if rule.dst in keep]
     # Mirror image: scan the left buffer from its right end.
@@ -327,8 +323,16 @@ def _successors(
 
 
 def successors(aut: Automaton, config: Configuration) -> list[tuple[Move, Configuration]]:
-    """Every one-step successor: deletions in rule order, then the return jump."""
-    return _successors(aut.kind, config, aut.states, aut.steps[config[1]])
+    """Every one-step successor: deletions in rule order, then the return jump,
+    enabled iff no readable word occurs ahead and there is text to wrap."""
+    left, state, right = config
+    grl = aut.kind is _RIGHT
+    hits = enabled_deletions(aut.kind, aut.rules_from[state], right if grl else left)
+    if hits:
+        return _deletions(grl, left, right, hits, aut.states)
+    if grl:
+        return [(None, Configuration("", state, left + right))] if left else []
+    return [(None, Configuration(left + right, state, ""))] if right else []
 
 
 def naive_consume_successors(
@@ -407,11 +411,8 @@ def shortest_trace(aut: Automaton, word: str) -> tuple[bool, Trace | None]:
 def _traced(aut: Automaton, word: str, take: Callable) -> tuple[bool, Trace | None]:
     """:func:`_searcher`'s search, its path made a :class:`Trace`. It steps
     through a loop state move by move, since a trace lists every move, so a
-    run ended by a drain would have to spell them out again. When ``member``
-    took that shortcut anyway, the bench's ``long`` workload decided more
-    words a second, but its ``peak_rss_mb``, which grows with the rounds a
-    run completes, rose past its bound. A dead start rejects before the
-    search reads any table."""
+    run ended by a drain would have to spell them out again. A dead start
+    rejects before the search reads any table."""
     start = initial_config(aut, word)
     if aut.start not in aut.live:
         return False, None
@@ -435,15 +436,14 @@ def _decider(aut: Automaton) -> Callable[[str], bool]:
     ``()`` if the rule leads to a dead state, which rejects; the empty word
     finds no rule and is accepted iff the start is final. So the path makes
     no expansion :func:`member` does not make, and skips the drained ones
-    and such a start's. At the first step with two or more live deletions
-    it hands them, built by :func:`_successors`, and the whole input's
-    length to :func:`_frontier`, which steps loop states one move at a
-    time.
+    and such a start's. The first step that returns two or more live
+    successors hands them and the whole input's length to :func:`_frontier`,
+    which steps loop states one move at a time.
     """
-    start, finals, live, kind = aut.start, aut.finals, aut.live, aut.kind
+    start, finals, live = aut.start, aut.finals, aut.live
     if start not in live:
         return lambda word: False
-    grl = kind is _RIGHT
+    grl = aut.kind is _RIGHT
     drains = {q: _compile_drain(grl, q, word, aut.alphabet) for q, word in aut.loops.items()}
     table, frontier = {**aut.live_steps, **drains}, _frontier(aut, deque.pop)
     first, rules = table[start], aut.rules_from[start]
@@ -468,12 +468,8 @@ def _decider(aut: Automaton) -> Callable[[str], bool]:
             step = first(left, right)
         while step:
             if step.__class__ is list:
-                steps = _successors(kind, (left, state, right), live, table[state], step)
-                if len(steps) != 1:
-                    return bool(steps) and frontier(steps, None, len(word))[0]
-                (_, (left, state, right)), = steps
-            else:
-                _, (left, state, right) = step
+                return frontier(step, None, len(word))[0]
+            _, (left, state, right) = step
             if not left and not right and state in finals:
                 return True
             step = table[state](left, right)
@@ -503,10 +499,10 @@ def _searcher(
     meet itself: the search follows that one successor, held in three
     locals, stepping each state through its compiled step alone
     (``aut.live_steps``), and links each move onto the path as ``(move,
-    parent_path)``. It hands the first two or more live successors, built by
-    :func:`_successors`, and the path to :func:`_frontier`.
+    parent_path)``. It hands the first two or more live successors, which a
+    step returns as a list, and the path to :func:`_frontier`.
     """
-    finals, live, table, kind = aut.finals, aut.live, aut.live_steps, aut.kind
+    finals, live, table = aut.finals, aut.live, aut.live_steps
     frontier = _frontier(aut, take)
 
     def search(start_left: str, state: str, start_right: str) -> tuple[bool, _Path]:
@@ -519,15 +515,10 @@ def _searcher(
                 return True, path
             step = table[state](left, right)
             if step.__class__ is list:
-                steps = _successors(kind, (left, state, right), live, table[state], step)
-                if len(steps) != 1:
-                    size = len(start_left) + len(start_right)
-                    return frontier(steps, path, size) if steps else (False, None)
-                (move, (left, state, right)), = steps
-            elif step:
-                move, (left, state, right) = step
-            else:
+                return frontier(step, path, len(start_left) + len(start_right))
+            if not step:
                 return False, None
+            move, (left, state, right) = step
             path = (move, path)
 
     return search
@@ -543,18 +534,20 @@ def _frontier(
     and returns what :func:`_searcher`'s search returns.
 
     No search stores anything before this: its visited set and a frontier
-    that starts with ``steps`` are created here, and every step goes through
-    :func:`_successors`, in the order a frontier from the start would give;
-    ``take`` picks the next configuration to expand. Every configuration
-    discovered from then on goes into the visited set; none found earlier
-    can be reached again, being an ancestor of all that follow, so every
-    live reachable configuration is still expanded exactly once. A frontier
-    entry is ``(configuration, path)``, the path linked as ``(move,
-    parent_path)``. The budget charges only what enters the visited set, its
-    symbols plus one each: before, the run is one path of at most 2n + 1
-    moves, since each consume shrinks the input and no return follows one.
+    that starts with ``steps`` are created here. ``take`` picks the next
+    configuration to expand, and its state's compiled step expands it, a
+    lone plain-tuple successor made a :class:`Configuration`, so successors
+    enter in the order a frontier from the start would give. Every
+    configuration discovered from then on goes into the visited set; none
+    found earlier can be reached again, being an ancestor of all that
+    follow, so every live reachable configuration is still expanded exactly
+    once. A frontier entry is ``(configuration, path)``, the path linked as
+    ``(move, parent_path)``. The budget charges only what enters the visited
+    set, its symbols plus one each: before, the run is one path of at most
+    2n + 1 moves, since each consume shrinks the input and no return follows
+    one.
     """
-    finals, live, table, kind = aut.finals, aut.live, aut.live_steps, aut.kind
+    finals, table = aut.finals, aut.live_steps
 
     def frontier_search(steps: list, path: _Path, size: int) -> tuple[bool, _Path]:
         limit = budget = MAX_STORED_SYMBOLS
@@ -576,7 +569,9 @@ def _frontier(
             if not frontier:
                 return False, None
             config, path = take(frontier)
-            steps = _successors(kind, config, live, table[config.state])
+            steps = table[config.state](config.left, config.right)
+            if steps.__class__ is not list:
+                steps = [(steps[0], Configuration._make(steps[1]))] if steps else ()
 
     return frontier_search
 

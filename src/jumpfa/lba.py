@@ -83,7 +83,7 @@ def _machine_successors(
     """Macro-steps from ``config``; a successor compacted iff its head is 0."""
     state, cells, head = config
     out: list[TapeConfig] = []
-    for rule, pos in enabled_deletions(_RIGHT, rules_from.get(state, ()), cells[head:]):
+    for rule, pos in enabled_deletions(_RIGHT, rules_from[state], cells[head:]):
         lo, hi = head + pos, head + pos + len(rule.word)
         if hi < len(cells):
             # Unread cells remain: mark the word, park the head just past it.
@@ -117,7 +117,7 @@ def lba_run(aut: Automaton, word: str) -> tuple[bool, SpaceReport]:
     while True:
         if not rest and not behind and state in finals:
             return True, SpaceReport(max_cells, compactions, depth)
-        moves = enabled_deletions(_RIGHT, rules_from.get(state, ()), rest)
+        moves = enabled_deletions(_RIGHT, rules_from[state], rest)
         if len(moves) > 1:
             break
         if not moves and not behind:

@@ -19,6 +19,7 @@ import output_digest
 from jumpfa import cli
 from jumpfa.cli import run_cli
 from jumpfa.core import make_automaton, serialize_automaton
+from jumpfa.engine import member, shortest_trace
 from jumpfa.oracles import CORPUS_CLAIMS, ORACLES
 
 
@@ -341,6 +342,16 @@ class TestOutputDigest:
         whole, parts = output_digest.digests(records)
         assert whole != output_digest.DIGEST
         assert output_digest.moved(parts) == ["lba"]
+
+    def test_member_and_shortest_trace_give_what_the_committed_digest_pins(self):
+        assert output_digest.search_results() == output_digest.RESULTS_DIGEST
+        # The digest pins depth-first moves: on some accepted word member's
+        # run is longer than the shortest one.
+        lengths = [
+            (len(member(aut, word)[1].moves), len(shortest_trace(aut, word)[1].moves))
+            for _, aut, word in output_digest.search_cases() if member(aut, word)[0]
+        ]
+        assert any(depth_first > shortest for depth_first, shortest in lengths)
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")

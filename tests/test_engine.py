@@ -125,6 +125,17 @@ class TestReturn:
         assert after == Configuration("ab", "q0", "")
 
 
+def stepped_successors(stepped, kept):
+    """What a compiled step returned, as ``(move, Configuration)`` pairs,
+    given that ``kept`` successors are kept: a list of two or more, or else
+    a tuple holding the lone successor or nothing."""
+    if kept > 1:
+        assert stepped.__class__ is list and all(type(s[1]) is Configuration for s in stepped)
+        return stepped
+    assert stepped.__class__ is tuple
+    return [(stepped[0], Configuration._make(stepped[1]))] if stepped else []
+
+
 class TestSuccessors:
     def test_return_is_sole_successor_when_present(self):
         aut = load_bundled("exrl-grl")
@@ -142,8 +153,8 @@ class TestSuccessors:
 
     def test_successors_keeps_the_dead_successors(self):
         # cdyck-grl's q0 deletes a or b into the dead q2, which has no rules:
-        # successors() steps every state toward every state, the searches
-        # the live states toward the live ones.
+        # successors() builds the successors in every state, the searches
+        # step the live states toward the live ones.
         aut = load_bundled("cdyck-grl")
         into_dead = Configuration("", "q0", "bca")
         assert successors(aut, into_dead) == [(Rule("q0", "b", "q2"), ("", "q2", "ca"))]
@@ -158,23 +169,25 @@ class TestSuccessors:
         for config in helpers.walk_configs(aut, word):
             if config.state in aut.live:
                 kept = [s for s in successors(aut, config) if s[1].state in aut.live]
-                step = aut.live_steps[config.state]
-                assert engine._successors(aut.kind, config, aut.live, step) == kept, config
+                stepped = aut.live_steps[config.state](config.left, config.right)
+                assert stepped_successors(stepped, len(kept)) == kept, config
 
     def test_unit_step_equals_the_general_rule(self):
         # State p with rules entering the kept q or the dropped d, in two
         # complementary destination patterns, so each rule once enters q and
-        # once d: every nonempty subset of abc, one symbol per rule, over
+        # once d, and with every rule entering q, so that two deletions can
+        # both be kept: every nonempty subset of abc, one symbol per rule, over
         # every buffer up to length 3; and every one or two words of length
         # <= 2 over ab (a/aa, ab/ba, ab/b, ...), over every buffer up to
         # length 4. Each also with a foreign z put anywhere in a word up to
         # length 1 (abc) or 2 (ab), on either side. So every shape of
         # compiled step runs, for both kinds: one rule, rules of one symbol
         # each (the foreign z stopping their strip), rules of every symbol
-        # of abc (nothing to strip), and any other. The step
-        # returns the deletions enabled_deletions finds exactly when there
-        # are two or more, and they are the ones the literal side conditions
-        # allow; otherwise it returns the lone kept successor, or (). The naive
+        # of abc (nothing to strip), and any other. successors() gives the
+        # deletions the literal side conditions allow, or else the return;
+        # the step returns the kept ones among them as a list of
+        # Configurations exactly when there are two or more, and otherwise
+        # the lone kept successor as a plain tuple, or (). The naive
         # deletions, which depend only on the scanned buffer, are found once per
         # buffer and checked by a direct call where the other has <= 1 letter.
         symbols = [c for size in (1, 2, 3) for c in combinations("abc", size)]
@@ -189,7 +202,7 @@ class TestSuccessors:
         keep, shapes, branched = {"p", "q"}, set(), 0
         for kind in Kind:
             for letters, configs, sets in families:
-                for words, dsts in product(sets, ("qdq", "dqd")):
+                for words, dsts in product(sets, ("qdq", "dqd", "qqq")):
                     rules = [("p", x, dst) for x, dst in zip(words, dsts)]
                     aut = make_automaton(kind, letters, ["p", "q", "d"], "p", ["q"], rules)
                     step = engine._compile_step(kind, "p", aut.rules_from["p"], keep, letters)
@@ -206,23 +219,16 @@ class TestSuccessors:
                                  for rule, a in scanned[text]]
                         if len(other) <= 1:
                             assert naive == naive_consume_successors(aut, c), (kind, rules, c)
-                        hits = engine.enabled_deletions(kind, aut.rules_from["p"], text)
-                        assert [rule for rule, _ in hits] == [rule for rule, _ in naive]
-                        want = [s for s in naive if s[1].state in keep]
+                        full = naive
                         if not naive and (c.left if grl else c.right):
                             after = ("", "p", wrapped) if grl else (wrapped, "p", "")
-                            want = [(None, Configuration._make(after))]
-                        got = engine._successors(kind, c, keep, step)
+                            full = [(None, Configuration._make(after))]
+                        want = [s for s in full if s[1].state in keep]
                         stepped = step(c.left, c.right)
-                        if len(hits) > 1:
-                            ok = stepped == hits and got == want
-                            ok = ok and engine._successors(kind, c, keep, step, hits) == want
-                        else:
-                            single = stepped and [(stepped[0], Configuration._make(stepped[1]))]
-                            ok = stepped.__class__ is tuple and list(single) == got == want
-                        if not ok:
+                        ok = successors(aut, c) == full
+                        if not ok or stepped_successors(stepped, len(want)) != want:
                             pytest.fail(f"{kind.value} {rules} at {c}: {stepped}, want {want}")
-                        branched += len(hits) > 1
+                        branched += stepped.__class__ is list
         assert shapes == {
             "general", "one_rule_grl", "one_rule_gll", "one_symbol_grl", "one_symbol_gll",
             "every_symbol_grl", "every_symbol_gll",
@@ -247,10 +253,9 @@ class TestSuccessors:
             "q0": "general", **{q: "one_rule_grl" for q in ("q1", "q2", "q3", "q4")}
         }
         assert shapes["dyck-gll"] == {"q0": "one_rule_gll"}
-        # The searches step the live states, successors() every state.
+        # The searches step the live states.
         for aut in helpers.corpus().values():
             assert set(aut.live_steps) == aut.live
-            assert set(aut.steps) == set(aut.states)
         # The rules of bench/machines/onestate-q0final.jfa.
         onestate = make_automaton(
             "gll", "ab", ["q0"], "q0", ["q0"],
@@ -259,8 +264,8 @@ class TestSuccessors:
         assert onestate.live_steps["q0"].__name__ == "general"
 
     def test_no_step_reads_a_kind_member(self, monkeypatch):
-        # A step compares the kind with a module global bound at import: an
-        # Enum member read costs about ten times as much on Python 3.11.
+        # A step compares the kind with a module global bound at import, which
+        # costs less to read than an Enum member.
         class Unread:
             def __getattr__(self, name):
                 raise AssertionError(f"a step read Kind.{name}")
@@ -297,9 +302,8 @@ class TestSuccessors:
         def steps():
             out = []
             for aut, config, text in configs:
-                rules = aut.rules_from.get(config.state, ())
-                step = aut.live_steps[config.state]
-                out.append(engine._successors(aut.kind, config, aut.live, step))
+                rules = aut.rules_from[config.state]
+                out.append(aut.live_steps[config.state](config.left, config.right))
                 out.append(successors(aut, config))
                 out.append(engine.enabled_deletions(aut.kind, rules, text))
             for tape in tapes:
@@ -311,7 +315,8 @@ class TestSuccessors:
             return out
 
         expected = steps()
-        assert any(len(step) > 1 for step in expected)
+        stepped = [aut.live_steps[c.state](c.left, c.right) for aut, c, _ in configs]
+        assert any(step.__class__ is list for step in stepped)
         monkeypatch.setattr(engine, "Kind", Unread())
         monkeypatch.setattr(lba, "Kind", Unread())
         assert steps() == expected
@@ -1040,32 +1045,27 @@ def successor_log(search, aut, word):
     expanded, in call order: each expansion's state, and whether the search
     had branched before it, that is, whether an earlier expansion yielded two
     or more successors. An expansion is a call of a compiled step: the search
-    steps each configuration it expands once, through its state's step, and
-    hands the deletions of a step that found two or more to the engine's
-    successor function, which builds them and does not step again. The search
+    steps each configuration it expands once, through its state's step, which
+    returns a list exactly when it yields two or more successors. The search
     runs on a copy of ``aut``, so that its steps are compiled afresh, each
     wrapped to log its calls."""
     log = []
     branched = False
-    successors, compile_step = engine._successors, engine._compile_step
-
-    def logged(kind, config, keep, step, hits=None):
-        nonlocal branched
-        steps = successors(kind, config, keep, step, hits)
-        branched = branched or len(steps) > 1
-        return steps
+    compile_step = engine._compile_step
 
     def logged_compile(kind, state, rules, keep, alphabet):
         step = compile_step(kind, state, rules, keep, alphabet)
 
         def logged_step(left, right):
+            nonlocal branched
             log.append((state, branched))
-            return step(left, right)
+            stepped = step(left, right)
+            branched = branched or stepped.__class__ is list
+            return stepped
 
         return logged_step
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_successors", logged)
         mp.setattr(engine, "_compile_step", logged_compile)
         accepted, _ = search(Automaton._make(aut), word)
     return accepted, log

@@ -212,7 +212,7 @@ class TestEquivalence:
 
         def never_compact_when_stuck(rules_from, config):
             ahead = config.cells[config.head:]
-            if not enabled_deletions(Kind.RIGHT, rules_from.get(config.state, ()), ahead):
+            if not enabled_deletions(Kind.RIGHT, rules_from[config.state], ahead):
                 return []
             return machine_successors(rules_from, config)
 

@@ -149,3 +149,21 @@ def test_readme_console_examples_print_what_they_show(capsys):
     for command, shown in examples:
         run_cli(command.split())
         assert capsys.readouterr().out == shown, command
+
+
+# A measured time or speed-up in the source goes stale with the next change
+# that moves it; CHANGES.md records each measurement with its change.
+TIMING = re.compile(r"\d\s?(µs|us|ms|ns)\b|x as fast|times (as (much|fast)|an? )")
+
+
+def test_the_source_quotes_no_machine_timing():
+    assert TIMING.search("reading an Enum member costs about ten times a module global")
+    assert TIMING.search("a fork round trip takes 2 ms, 1.5x as fast")
+    files = [p for p in sorted((ROOT / "src" / "jumpfa").rglob("*")) if p.suffix in (".py", ".jfa")]
+    found = [
+        f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+        for path in files
+        for number, line in enumerate(path.read_text("utf-8").splitlines(), 1)
+        if TIMING.search(line)
+    ]
+    assert found == []
