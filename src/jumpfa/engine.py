@@ -17,15 +17,16 @@ stopping at the first accepting run it finds. :func:`shortest_trace` runs the
 same search breadth-first, for a shortest run. Every consume strictly shrinks
 the input and returns never repeat, so the graph is acyclic and the search
 terminates. It stores nothing until it branches (:func:`_searcher`), and
-one frontier phase serves every search from its first branch on
-(:func:`_frontier`). The sweeps, which read its verdict alone, link no move
-before it and end a run at a final state whose only rule loops on it by a
-drain (:func:`_decider`, :func:`_compile_drain`). A move is the
-:class:`~jumpfa.core.Rule` a consume applies, ``(src, word, dst)``, since a
-rule fires only at the nearest occurrence of its word, or ``None`` for the
-return, which applies no rule. Configurations and traces are named tuples; a
-:class:`Trace` is ``(kind, start, moves)`` and replays its configurations
-from the moves.
+one frontier phase serves both traced searches from their first branch on
+(:func:`_frontier`). The sweeps, which read the verdict alone, decide
+through a search of their own (:func:`_decider`): it links no move, before
+or after it branches, and it ends a run at a final state whose only rule
+loops on it by a drain (:func:`_compile_drain`), in its frontier too. A move
+is the :class:`~jumpfa.core.Rule` a consume applies, ``(src, word, dst)``,
+since a rule fires only at the nearest occurrence of its word, or ``None``
+for the return, which applies no rule. Configurations and traces are named
+tuples; a :class:`Trace` is ``(kind, start, moves)`` and replays its
+configurations from the moves.
 
 One consume rule decides every deletion of a step (:func:`enabled_deletions`):
 find the nearest occurrence of each rule word once; a rule fires iff its
@@ -436,16 +437,26 @@ def _decider(aut: Automaton) -> Callable[[str], bool]:
     ``()`` if the rule leads to a dead state, which rejects; the empty word
     finds no rule and is accepted iff the start is final. So the path makes
     no expansion :func:`member` does not make, and skips the drained ones
-    and such a start's. The first step that returns two or more live
-    successors hands them and the whole input's length to :func:`_frontier`,
-    which steps loop states one move at a time.
+    and such a start's.
+
+    From the first step that returns two or more live successors on, it runs
+    a frontier phase of its own, not :func:`_frontier`: ``(left, state,
+    right)`` tuples on a list taken last first, as :func:`member` takes them,
+    with one visited set charged as :func:`_frontier` charges it, no move
+    linked, and every configuration stepped through the same table, so a
+    loop state is still decided by its drain. :func:`member` expands a loop
+    state's configuration and then every configuration after it, all in
+    that state, before it takes another; the drain stores none of those. So
+    this search stores a subset of what :func:`member` stores at each point,
+    raises :class:`SearchLimitError` only on words where :func:`member`
+    raises it, and may decide words on which :func:`member` gives up.
     """
     start, finals, live = aut.start, aut.finals, aut.live
     if start not in live:
         return lambda word: False
     grl = aut.kind is _RIGHT
     drains = {q: _compile_drain(grl, q, word, aut.alphabet) for q, word in aut.loops.items()}
-    table, frontier = {**aut.live_steps, **drains}, _frontier(aut, deque.pop)
+    table = {**aut.live_steps, **drains}
     first, rules = table[start], aut.rules_from[start]
     # Rule words are over the alphabet, one rule a word: these read one symbol each.
     heads = None
@@ -466,14 +477,36 @@ def _decider(aut: Automaton) -> Callable[[str], bool]:
                 return True
             left, state, right = ("", start, word) if grl else (word, start, "")
             step = first(left, right)
-        while step:
-            if step.__class__ is list:
-                return frontier(step, None, len(word))[0]
+        while step.__class__ is not list:
+            if not step:
+                return False
             _, (left, state, right) = step
             if not left and not right and state in finals:
                 return True
             step = table[state](left, right)
-        return False
+        limit = budget = MAX_STORED_SYMBOLS
+        seen: set[tuple[str, str, str]] = set()
+        stack: list[tuple[str, str, str]] = []
+        while True:
+            for _, config in step:
+                if config in seen:
+                    continue
+                seen.add(config)
+                left, state, right = config
+                budget -= len(left) + len(right) + 1
+                if budget < 0:
+                    raise SearchLimitError(
+                        f"gave up after storing {limit} symbols on input of length {len(word)}"
+                    )
+                if not left and not right and state in finals:
+                    return True
+                stack.append(config)
+            if not stack:
+                return False
+            left, state, right = stack.pop()
+            step = table[state](left, right)
+            if step.__class__ is not list:
+                step = (step,) if step else ()
 
     return decide
 
@@ -527,8 +560,10 @@ def _searcher(
 def _frontier(
     aut: Automaton, take: Callable[[deque], object]
 ) -> Callable[[list[tuple[Move, Configuration]], _Path, int], tuple[bool, _Path]]:
-    """The frontier phase of :func:`_searcher`'s and :func:`_decider`'s
-    searches, bound to ``aut``'s tables once: ``frontier(steps, path,
+    """The frontier phase of :func:`_searcher`'s search, which
+    :func:`member` and :func:`shortest_trace` trace, bound to ``aut``'s
+    tables once (the sweeps' :func:`_decider` has its own, which links no
+    move and drains loop states): ``frontier(steps, path,
     size)`` goes on from ``steps``, the two or more live successors of the
     configuration that ``path`` reached, on an input of ``size`` symbols,
     and returns what :func:`_searcher`'s search returns.

@@ -1111,10 +1111,11 @@ def assert_depth_first_agrees(aut, word):
     # expands, save two kinds. A start that reads every symbol moves by one
     # lookup of the first symbol (the last for gll), not by its step, so
     # member's first expansion, the start's, is not made; member makes none
-    # only on the empty word at a final start. And it decides a run that
-    # reaches a loop state before the search branches at once, so it never
-    # expands a loop state there. After a branch both expand alike, since the
-    # frontier search is the same. Otherwise the two lists are equal.
+    # only on the empty word at a final start. And it decides a loop state's
+    # configuration by its drain, before the search branches and after, so
+    # it expands no configuration in a loop state. Member expands such a
+    # configuration and all the configurations after it, in the same state,
+    # before it takes another, so the two lists are otherwise equal.
     verdict, expanded = successor_log(verdict_search, aut, word)
     member_logged, member_expanded = successor_log(member, aut, word)
     assert verdict == member_logged == accepted
@@ -1123,12 +1124,7 @@ def assert_depth_first_agrees(aut, word):
         at_start = [] if not word and aut.start in aut.finals else [(aut.start, False)]
         assert member_expanded[:1] == at_start
         after_start = member_expanded[1:]
-    assert not any(state in aut.loops and not branched for state, branched in expanded)
-    assert expanded == [
-        (state, branched)
-        for state, branched in after_start
-        if branched or state not in aut.loops
-    ]
+    assert expanded == [(state, branched) for state, branched in after_start if state not in aut.loops]
     if accepted:
         assert_replays(aut, word, trace)
         assert len(trace.moves) >= len(shortest.moves)
@@ -1190,14 +1186,16 @@ class TestSearchStorage:
 
     def test_branches_that_reconverge_after_a_single_successor_stretch(self):
         # p and r each have one successor; q deletes "a" or "aa", so its
-        # runs meet again, also on the branch point's own successors.
+        # runs meet again, also on the branch point's own successors. The
+        # sweeps' verdict path expands each of them once too.
         aut = make_automaton(
             "grl", "ab", ["p", "r", "q"], "p", ["q"],
             [("p", "b", "r"), ("r", "b", "q"), ("q", "a", "q"), ("q", "aa", "q")],
         )
         for word in ("bbaaaab", "bbaaaaaaab", "bbb"):
-            assert_expands_each_live_configuration_once(aut, word)
+            assert_depth_first_agrees(aut, word)
         assert successor_calls(member, aut, "bbaaaaaaab") == (False, 10)
+        assert successor_calls(verdict_search, aut, "bbaaaaaaab") == (False, 10)
 
     def test_the_give_up_message_names_the_whole_input(self, monkeypatch):
         # q0 deletes the b in one one-rule step, then q1 branches on a and
@@ -1263,8 +1261,9 @@ class TestSearchStorage:
 
 
 class TestVerdictPath:
-    """The sweeps decide each word by the one search and read its verdict
-    only; ``assert_depth_first_agrees`` checks it against ``member``."""
+    """The sweeps decide each word by a search of their own that reads the
+    verdict only; ``assert_depth_first_agrees`` checks it against
+    ``member``."""
 
     def test_one_live_deletion_of_two_goes_on_alone(self):
         # q0 deletes a into q1 or aa into the dead state d: only the first is
@@ -1278,6 +1277,49 @@ class TestVerdictPath:
 
     def test_search_limit_guard(self, monkeypatch):
         assert_stores_ten_symbols_rejecting_aab(monkeypatch, verdict_search)
+
+    def test_decides_a_word_member_gives_up_on(self, monkeypatch):
+        # nonrowj-grl branches on aaaa at q0 into ("", q1, "aaa") and
+        # ("", q4, "aa"), 7 symbols stored, and takes the q4 one first. Member
+        # deletes one a there and stores ("", q4, "a"), 2 more, past a budget
+        # of 8; q4's drain deletes both and stores only ("", q4, ""), 1 more.
+        aut = load_bundled("nonrowj-grl")
+        decide = engine._decider(aut)
+        message = "^gave up after storing {} symbols on input of length 4$"
+        monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", 8)
+        with pytest.raises(SearchLimitError, match=message.format(8)):
+            member(aut, "aaaa")
+        assert decide("aaaa") is True
+        monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", 7)
+        with pytest.raises(SearchLimitError, match=message.format(7)):
+            decide("aaaa")
+
+    def test_gives_up_only_where_member_gives_up(self, monkeypatch):
+        # The verdict path stores a subset of what member stores, so under
+        # every budget it gives up only where member gives up, and otherwise
+        # decides as member does, also on some words member gives up on.
+        def outcome(search, word):
+            try:
+                return search(word)
+            except SearchLimitError:
+                return "gave up"
+
+        checks = member_alone = 0
+        default = engine.MAX_STORED_SYMBOLS
+        for aut in helpers.corpus().values():
+            decide = engine._decider(aut)
+            for word in iter_words(aut.alphabet, 6 if len(aut.alphabet) <= 2 else 5):
+                monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", default)
+                accepted = member(aut, word)[0]
+                for budget in range(21):
+                    monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", budget)
+                    expected = outcome(lambda w: member(aut, w)[0], word)
+                    verdict = outcome(decide, word)
+                    assert expected in (accepted, "gave up")
+                    assert verdict in (expected, accepted), (aut.rules, word, budget)
+                    checks += 1
+                    member_alone += verdict != expected
+        assert (checks, member_alone) == (39438, 38)
 
     def test_a_start_that_reads_every_symbol_moves_by_one_lookup(self):
         # q0 reads a, b and c, one rule each: the first symbol (the last for
