@@ -16,17 +16,17 @@ ahead of the same position), so acceptance is existential over branches and
 stopping at the first accepting run it finds. :func:`shortest_trace` runs the
 same search breadth-first, for a shortest run. Every consume strictly shrinks
 the input and returns never repeat, so the graph is acyclic and the search
-terminates. It stores nothing until it branches (:func:`_searcher`), and
-one frontier phase serves both traced searches from their first branch on
-(:func:`_frontier`). The sweeps, which read the verdict alone, decide
-through a search of their own (:func:`_decider`): it links no move, before
-or after it branches, and it ends a run at a final state whose only rule
-loops on it by a drain (:func:`_compile_drain`), in its frontier too. A move
-is the :class:`~jumpfa.core.Rule` a consume applies, ``(src, word, dst)``,
-since a rule fires only at the nearest occurrence of its word, or ``None``
-for the return, which applies no rule. Configurations and traces are named
-tuples; a :class:`Trace` is ``(kind, start, moves)`` and replays its
-configurations from the moves.
+terminates. One function runs both traced searches (:func:`_traced`): it
+stores nothing until it branches, and keeps a frontier from its first
+branch on. The sweeps, which read the verdict alone, decide through a
+search of their own (:func:`_decider`): it links no move, before or after
+it branches, and it ends a run at a final state whose only rule loops on it
+by a drain (:func:`_compile_drain`), in its frontier too. A move is the
+:class:`~jumpfa.core.Rule` a consume applies, ``(src, word, dst)``, since a
+rule fires only at the nearest occurrence of its word, or ``None`` for the
+return, which applies no rule. Configurations and traces are named tuples;
+a :class:`Trace` is ``(kind, start, moves)`` and replays its configurations
+from the moves.
 
 One consume rule decides every deletion of a step (:func:`enabled_deletions`):
 find the nearest occurrence of each rule word once; a rule fires iff its
@@ -396,7 +396,7 @@ def member(aut: Automaton, word: str) -> tuple[bool, Trace | None]:
     configurations, so :data:`MAX_STORED_SYMBOLS` gives up on exactly the same
     rejected inputs.
     """
-    return _traced(aut, word, deque.pop)
+    return _traced(aut, initial_config(aut, word), deque.pop)
 
 
 def shortest_trace(aut: Automaton, word: str) -> tuple[bool, Trace | None]:
@@ -406,19 +406,82 @@ def shortest_trace(aut: Automaton, word: str) -> tuple[bool, Trace | None]:
     branches resolve in rule declaration order with the return jump last, so
     the returned trace is reproducible.
     """
-    return _traced(aut, word, deque.popleft)
+    return _traced(aut, initial_config(aut, word), deque.popleft)
 
 
-def _traced(aut: Automaton, word: str, take: Callable) -> tuple[bool, Trace | None]:
-    """:func:`_searcher`'s search, its path made a :class:`Trace`. It steps
-    through a loop state move by move, since a trace lists every move, so a
-    run ended by a drain would have to spell them out again. A dead start
-    rejects before the search reads any table."""
-    start = initial_config(aut, word)
-    if aut.start not in aut.live:
+def _traced(aut: Automaton, start: Configuration, take: Callable) -> tuple[bool, Trace | None]:
+    """The search behind :func:`member` and :func:`shortest_trace`, from
+    ``start``: the verdict and, on acceptance, the :class:`Trace` of the run
+    that reached a bare final state. A dead start rejects before the search
+    reads any table. It steps through a loop state move by move, since a
+    trace lists every move, so a run ended by a drain would have to spell
+    them out again.
+
+    Configurations whose state is not in ``aut.live`` are never built, stored
+    or expanded: none can lead to acceptance and all their successors are
+    dead too, so the live configurations are discovered in the same order as
+    by the unpruned search, and verdicts and traces are unchanged. Only the
+    store that :data:`MAX_STORED_SYMBOLS` bounds shrinks.
+
+    The graph is acyclic, so while every expansion has yielded at most one
+    live successor the live configurations found form one path that cannot
+    meet itself. This path phase follows that one successor, held in three
+    locals, stepping each state through its compiled step alone
+    (``aut.live_steps``), and links each move onto the path as ``(move,
+    parent_path)``, ``None`` being the start's path. It stores nothing else.
+
+    The frontier phase begins at the first step that returns two or more
+    live successors, as a list: its visited set and a frontier of
+    ``(configuration, path)`` entries that starts with them are created
+    there. ``take`` (``deque.pop`` or ``deque.popleft``) picks the next
+    entry, and its state's compiled step expands it, a lone plain-tuple
+    successor made a :class:`Configuration`, so successors enter in the
+    order a frontier from the start would give. Every configuration
+    discovered from then on goes into the visited set; none found earlier
+    can be reached again, being an ancestor of all that follow, so every
+    live reachable configuration is still expanded exactly once. The budget
+    charges only what enters the visited set, its symbols plus one each:
+    before, the run is one path of at most 2n + 1 moves, since each consume
+    shrinks the input and no return follows one.
+    """
+    left, state, right = start
+    if state not in aut.live:
         return False, None
-    accepted, path = _searcher(aut, take)(*start)
-    return accepted, Trace(aut.kind, start, _moves(path)) if accepted else None
+    finals, table = aut.finals, aut.live_steps
+    path: _Path = None
+    while True:
+        if not left and not right and state in finals:
+            return True, Trace(aut.kind, start, _moves(path))
+        step = table[state](left, right)
+        if step.__class__ is list:
+            break
+        if not step:
+            return False, None
+        move, (left, state, right) = step
+        path = (move, path)
+    limit = budget = MAX_STORED_SYMBOLS
+    seen: set[Configuration] = set()
+    frontier: deque = deque()
+    while True:
+        for move, nxt in step:
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            budget -= len(nxt.left) + len(nxt.right) + 1
+            if budget < 0:
+                raise SearchLimitError(
+                    f"gave up after storing {limit} symbols on input of length "
+                    f"{len(start.left) + len(start.right)}"
+                )
+            if not nxt.left and not nxt.right and nxt.state in finals:
+                return True, Trace(aut.kind, start, _moves((move, path)))
+            frontier.append((nxt, (move, path)))
+        if not frontier:
+            return False, None
+        config, path = take(frontier)
+        step = table[config.state](config.left, config.right)
+        if step.__class__ is not list:
+            step = [(step[0], Configuration._make(step[1]))] if step else ()
 
 
 def _decider(aut: Automaton) -> Callable[[str], bool]:
@@ -426,7 +489,7 @@ def _decider(aut: Automaton) -> Callable[[str], bool]:
     path. The word must be over ``aut.alphabet`` and is not checked: every
     sweep enumerates the automaton's own alphabet.
 
-    ``decide(word)`` runs a path phase like :func:`_searcher`'s that links no
+    ``decide(word)`` runs a path phase like :func:`_traced`'s that links no
     move. A state of ``aut.loops`` steps by its drain (:func:`_compile_drain`),
     so a run that reaches one before it branches ends there. The start
     state's step (its drain, if it loops) is read once, here, and taken
@@ -440,9 +503,9 @@ def _decider(aut: Automaton) -> Callable[[str], bool]:
     and such a start's.
 
     From the first step that returns two or more live successors on, it runs
-    a frontier phase of its own, not :func:`_frontier`: ``(left, state,
+    a frontier phase of its own, not :func:`_traced`'s: ``(left, state,
     right)`` tuples on a list taken last first, as :func:`member` takes them,
-    with one visited set charged as :func:`_frontier` charges it, no move
+    with one visited set charged as :func:`_traced` charges its own, no move
     linked, and every configuration stepped through the same table, so a
     loop state is still decided by its drain. :func:`member` expands a loop
     state's configuration and then every configuration after it, all in
@@ -509,106 +572,6 @@ def _decider(aut: Automaton) -> Callable[[str], bool]:
                 step = (step,) if step else ()
 
     return decide
-
-
-def _searcher(
-    aut: Automaton, take: Callable[[deque], object]
-) -> Callable[[str, str, str], tuple[bool, _Path]]:
-    """The search behind :func:`member` and :func:`shortest_trace`, bound to
-    ``aut``'s tables once: ``search(left, state, right)`` searches from that
-    configuration; ``take`` picks the next configuration to expand from the
-    frontier. It returns the verdict and, on acceptance, the moves that
-    reached a bare final state as a linked path (``None`` for the start
-    itself).
-
-    Configurations whose state is not in ``aut.live`` are never built, stored
-    or expanded: none can lead to acceptance and all their successors are
-    dead too, so the live configurations are discovered in the same order as
-    by the unpruned search, and verdicts and traces are unchanged. Only the
-    store that :data:`MAX_STORED_SYMBOLS` bounds shrinks.
-
-    The graph is acyclic, so while every expansion has yielded at most one
-    live successor the live configurations found form one path that cannot
-    meet itself: the search follows that one successor, held in three
-    locals, stepping each state through its compiled step alone
-    (``aut.live_steps``), and links each move onto the path as ``(move,
-    parent_path)``. It hands the first two or more live successors, which a
-    step returns as a list, and the path to :func:`_frontier`.
-    """
-    finals, live, table = aut.finals, aut.live, aut.live_steps
-    frontier = _frontier(aut, take)
-
-    def search(start_left: str, state: str, start_right: str) -> tuple[bool, _Path]:
-        if state not in live:
-            return False, None
-        left, right = start_left, start_right
-        path: _Path = None
-        while True:
-            if not left and not right and state in finals:
-                return True, path
-            step = table[state](left, right)
-            if step.__class__ is list:
-                return frontier(step, path, len(start_left) + len(start_right))
-            if not step:
-                return False, None
-            move, (left, state, right) = step
-            path = (move, path)
-
-    return search
-
-
-def _frontier(
-    aut: Automaton, take: Callable[[deque], object]
-) -> Callable[[list[tuple[Move, Configuration]], _Path, int], tuple[bool, _Path]]:
-    """The frontier phase of :func:`_searcher`'s search, which
-    :func:`member` and :func:`shortest_trace` trace, bound to ``aut``'s
-    tables once (the sweeps' :func:`_decider` has its own, which links no
-    move and drains loop states): ``frontier(steps, path,
-    size)`` goes on from ``steps``, the two or more live successors of the
-    configuration that ``path`` reached, on an input of ``size`` symbols,
-    and returns what :func:`_searcher`'s search returns.
-
-    No search stores anything before this: its visited set and a frontier
-    that starts with ``steps`` are created here. ``take`` picks the next
-    configuration to expand, and its state's compiled step expands it, a
-    lone plain-tuple successor made a :class:`Configuration`, so successors
-    enter in the order a frontier from the start would give. Every
-    configuration discovered from then on goes into the visited set; none
-    found earlier can be reached again, being an ancestor of all that
-    follow, so every live reachable configuration is still expanded exactly
-    once. A frontier entry is ``(configuration, path)``, the path linked as
-    ``(move, parent_path)``. The budget charges only what enters the visited
-    set, its symbols plus one each: before, the run is one path of at most
-    2n + 1 moves, since each consume shrinks the input and no return follows
-    one.
-    """
-    finals, table = aut.finals, aut.live_steps
-
-    def frontier_search(steps: list, path: _Path, size: int) -> tuple[bool, _Path]:
-        limit = budget = MAX_STORED_SYMBOLS
-        seen: set[Configuration] = set()
-        frontier: deque = deque()
-        while True:
-            for move, nxt in steps:
-                if nxt in seen:
-                    continue
-                seen.add(nxt)
-                budget -= len(nxt.left) + len(nxt.right) + 1
-                if budget < 0:
-                    raise SearchLimitError(
-                        f"gave up after storing {limit} symbols on input of length {size}"
-                    )
-                if not nxt.left and not nxt.right and nxt.state in finals:
-                    return True, (move, path)
-                frontier.append((nxt, (move, path)))
-            if not frontier:
-                return False, None
-            config, path = take(frontier)
-            steps = table[config.state](config.left, config.right)
-            if steps.__class__ is not list:
-                steps = [(steps[0], Configuration._make(steps[1]))] if steps else ()
-
-    return frontier_search
 
 
 def _compile_drain(

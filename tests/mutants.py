@@ -36,8 +36,16 @@ SMALL_SCOPE = f"{ENGINE}::TestSmallScope::test_every_search_decides_as_the_naive
 CORPUS_EXPANSIONS = f"{ENGINE}::TestDepthFirstMember::test_agrees_with_shortest_trace_on_the_corpus"
 LOOKUP = f"{ENGINE}::TestVerdictPath::test_a_start_that_reads_every_symbol_moves_by_one_lookup"
 MACRO_STEPS = f"{LBA}::TestEquivalence::test_runs_as_the_per_macro_step_reference"
-# A mutant that makes its killers hang is reported, not waited for.
-TIMEOUT_S = 300
+UNIT_STEP = f"{ENGINE}::TestSuccessors::test_unit_step_equals_the_general_rule"
+REPLAY = f"{ENGINE}::TestMember::test_trace_replays_as_valid_run"
+CRITERION_02 = "tests/test_acceptance.py::test_criterion_02_a_loop_bb_machine_both_kinds"
+LEFT_TRACE = "tests/test_cli.py::TestTrace::test_left_linear_trace"
+LEFT_REVERSAL = f"{LBA}::TestRuns::test_left_linear_machine_runs_as_its_reversal"
+UNIT_MACHINES = "tests/test_transforms.py::TestOneWayReference::test_agrees_with_engine_on_every_two_state_unit_machine"
+# A mutant that makes its killers hang is reported, not waited for. The slowest
+# kill takes under 3 s on a 2-vCPU VM, and a hang must be named well inside
+# the 5 minutes CI gives the whole run.
+TIMEOUT_S = 60
 
 
 class Mutant(NamedTuple):
@@ -49,6 +57,271 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
+    # The consume rule (engine.enabled_deletions) and the naive step it is checked against.
+    Mutant(
+        "enabled_deletions drops the grl filter pass", "engine.py",
+        "        if len(hits) < 2:\n"
+        "            return hits\n"
+        "        return [hit for hit in hits if hit[1] < bound]\n",
+        "        return hits\n",
+        (f"{ENGINE}::TestConsume::test_gap_blocked_by_other_readable_word", CRITERION_02),
+    ),
+    Mutant(
+        "enabled_deletions drops the gll filter pass", "engine.py",
+        "    return [hit for hit in hits if hit[1] + len(hit[0].word) > bound]\n",
+        "    return hits\n",
+        ("tests/test_transforms.py::TestReverse::test_reversed_a_loop_bb_machine", CRITERION_02),
+    ),
+    Mutant(
+        "enabled_deletions keeps a gll hit that ends at the bound", "engine.py",
+        "hit[1] + len(hit[0].word) > bound]",
+        "hit[1] + len(hit[0].word) >= bound]",
+        ("tests/test_transforms.py::TestReverse::test_reversed_a_loop_bb_machine", CRITERION_02),
+    ),
+    Mutant(
+        "enabled_deletions reads Kind.RIGHT", "engine.py",
+        "    hits: list[tuple[Rule, int]] = []\n"
+        "    if kind is _RIGHT:\n",
+        "    hits: list[tuple[Rule, int]] = []\n"
+        "    if kind is Kind.RIGHT:\n",
+        (f"{ENGINE}::TestSuccessors::test_no_step_reads_a_kind_member",),
+    ),
+    Mutant(
+        "naive_consume_successors checks the grl gap against one word", "engine.py",
+        "                if not any(w in gap for w in words) and not straddle:\n"
+        "                    after = Configuration(config.left + gap, rule.dst, rest)\n",
+        "                if not any(w in gap for w in words[:1]) and not straddle:\n"
+        "                    after = Configuration(config.left + gap, rule.dst, rest)\n",
+        (UNIT_STEP, SMALL_SCOPE),
+    ),
+    # The shapes of a compiled step (engine._compile_step).
+    Mutant(
+        "general branches only on three or more deletions", "engine.py",
+        "        if len(hits) > 1:\n"
+        "            kept = _deletions(",
+        "        if len(hits) > 2:\n"
+        "            kept = _deletions(",
+        (f"{ENGINE}::TestMember::test_branching_machine",
+         "tests/test_acceptance.py::test_criterion_04_branching_machine_language"),
+    ),
+    Mutant(
+        "general deletes a lone grl rule word one symbol wide", "engine.py",
+        "return rule, (left + right[:pos], rule.dst, right[pos + len(rule.word):])",
+        "return rule, (left + right[:pos], rule.dst, right[pos + 1:])",
+        (f"{ENGINE}::TestMember::test_canonical_trace_for_a_loop_bb_machine", CRITERION_02),
+    ),
+    Mutant(
+        "general offers the return when its one deletion is not kept", "engine.py",
+        "        if not hits:\n"
+        "            if grl:\n",
+        "        if not hits or hits[0][0].dst not in keep:\n"
+        "            if grl:\n",
+        (UNIT_STEP, SMALL_SCOPE),
+    ),
+    # Wrapped to the wrong side, the text wraps again on every step: each search
+    # on a word that reaches such a return runs forever, so one killer only.
+    Mutant(
+        "general wraps the grl return to the wrong side", "engine.py",
+        "            if grl:\n"
+        "                return (None, (\"\", state, left + right)) if left else ()\n",
+        "            if grl:\n"
+        "                return (None, (left + right, state, \"\")) if left else ()\n",
+        (UNIT_STEP,),
+    ),
+    Mutant(
+        "one_rule_grl offers the return when its deletion is not kept", "engine.py",
+        "            pos = right.find(word)\n"
+        "            if pos < 0:\n",
+        "            pos = right.find(word)\n"
+        "            if pos < 0 or not kept:\n",
+        (UNIT_STEP,),
+    ),
+    Mutant(
+        "one_symbol_grl rejects a foreign symbol", "engine.py",
+        "            return rule if rule is not None else general(left, right)\n"
+        "        return (None, (\"\", state, left + right)) if left else ()\n",
+        "            return rule if rule is not None else ()\n"
+        "        return (None, (\"\", state, left + right)) if left else ()\n",
+        (UNIT_STEP,),
+    ),
+    Mutant(
+        "_deletions lists grl branches in reverse rule order", "engine.py",
+        "                for rule, pos in hits if rule.dst in keep]\n"
+        "    # Mirror",
+        "                for rule, pos in hits[::-1] if rule.dst in keep]\n"
+        "    # Mirror",
+        (f"{ENGINE}::TestConsume::test_two_rules_can_fire_at_the_same_spot",
+         "tests/test_acceptance.py::test_criterion_07_reversal_duality_and_bisimulation"),
+    ),
+    # More of the step shapes: a dead rule's (), a foreign symbol, and keep.
+    Mutant(
+        "one_symbol_grl offers the return at a dead rule", "engine.py",
+        "            return rule, (left + right[: len(right) - len(rest)], rule.dst, rest[1:])\n"
+        "        if rest:",
+        "            return rule, (left + right[: len(right) - len(rest)], rule.dst, rest[1:])\n"
+        "        if rest and rule is None:",
+        (UNIT_STEP,),
+    ),
+    Mutant(
+        "one_symbol_gll offers the return at a dead rule", "engine.py",
+        "            return rule, (rest[:-1], rule.dst, left[len(rest):] + right)\n"
+        "        if rest:",
+        "            return rule, (rest[:-1], rule.dst, left[len(rest):] + right)\n"
+        "        if rest and rule is None:",
+        (UNIT_STEP,),
+    ),
+    Mutant(
+        "one_symbol_grl reads a foreign symbol as nothing readable", "engine.py",
+        "            return rule, (left + right[: len(right) - len(rest)], rule.dst, rest[1:])\n"
+        "        if rest:",
+        "            return rule, (left + right[: len(right) - len(rest)], rule.dst, rest[1:])\n"
+        "        if rest and rule is not None:",
+        (UNIT_STEP,),
+    ),
+    Mutant(
+        "one_symbol_gll reads a foreign symbol as nothing readable", "engine.py",
+        "            return rule, (rest[:-1], rule.dst, left[len(rest):] + right)\n"
+        "        if rest:",
+        "            return rule, (rest[:-1], rule.dst, left[len(rest):] + right)\n"
+        "        if rest and rule is not None:",
+        (UNIT_STEP,),
+    ),
+    Mutant(
+        "one_symbol_gll deletes two symbols", "engine.py",
+        "return rule, (rest[:-1], rule.dst, left[len(rest):] + right)",
+        "return rule, (rest[:-2], rule.dst, left[len(rest):] + right)",
+        (UNIT_STEP,),
+    ),
+    Mutant(
+        "the one-rule shape ignores keep", "engine.py",
+        "rule.word, rule.dst, len(rule.word), rule.dst in keep",
+        "rule.word, rule.dst, len(rule.word), True",
+        (UNIT_STEP,),
+    ),
+    # The replay and printing of a trace (engine.Trace.configs, format_trace).
+    Mutant(
+        "Trace.configs drops the state check", "engine.py",
+        "            elif move.src != state:\n"
+        "                raise JumpfaError(f\"move {index}, {move}, does not leave state {state!r}\")\n"
+        "            else:\n",
+        "            else:\n",
+        (f"{ENGINE}::TestMember::"
+         "test_replay_refuses_a_move_from_another_state_or_a_return_with_nothing_to_wrap",),
+    ),
+    Mutant(
+        "Trace.configs takes a return for a consume", "engine.py",
+        "if not step or step[0] is None:",
+        "if not step:",
+        (f"{ENGINE}::TestMember::test_replay_refuses_a_move_whose_word_is_not_ahead",),
+    ),
+    Mutant(
+        "format_trace notes a consume as the return", "engine.py",
+        "        if move is None:\n"
+        "            note = \"return\"",
+        "        if move is not None:\n"
+        "            note = \"return\"",
+        ("tests/test_cli.py::TestTrace::test_trace_annotations", LEFT_TRACE),
+    ),
+    Mutant(
+        "format_trace reads the gll skip at the wrong end", "engine.py",
+        "skip = after.right[: len(after.right) - len(before.right)]",
+        "skip = after.right[len(before.right):]",
+        (LEFT_TRACE,),
+    ),
+    # The drain of a loop state (engine._compile_drain, _drained).
+    Mutant(
+        "the drain takes aba as unbordered", "engine.py",
+        "word[:k] == word[-k:] for k in range(1, len(word))",
+        "word[:k] == word[-k:] for k in range(2, len(word))",
+        (f"{ENGINE}::TestLoopStates::test_every_loop_decides_as_the_naive_search",),
+    ),
+    Mutant(
+        "the drain takes every word as unbordered", "engine.py",
+        "    grl = grl or not any(word[:k] == word[-k:] for k in range(1, len(word)))\n",
+        "    grl = True\n",
+        (f"{ENGINE}::TestLoopStates::test_every_loop_decides_as_the_naive_search",),
+    ),
+    Mutant(
+        "the drain checks the left buffer alone for a foreign symbol", "engine.py",
+        "if symbol in left or symbol in right:",
+        "if symbol in left:",
+        (f"{ENGINE}::TestLoopStates::test_a_foreign_symbol_rejects_before_any_pass",),
+    ),
+    Mutant(
+        "the drain checks the right buffer alone for a foreign symbol", "engine.py",
+        "if symbol in left or symbol in right:",
+        "if symbol in right:",
+        (f"{ENGINE}::TestLoopStates::test_a_foreign_symbol_rejects_before_any_pass",),
+    ),
+    Mutant(
+        "the drain checks no foreign symbol", "engine.py",
+        "    foreign = [a for a in alphabet if a not in word]\n",
+        "    foreign = []\n",
+        (f"{ENGINE}::TestLoopStates::test_a_foreign_symbol_rejects_before_any_pass",),
+    ),
+    Mutant(
+        "the drain always rejects", "engine.py",
+        "    accept: _Stepped = (None, (\"\", state, \"\"))\n",
+        "    accept: _Stepped = ()\n",
+        (f"{ENGINE}::TestLoopStates::test_every_loop_decides_as_the_naive_search",),
+    ),
+    Mutant(
+        "_drained deletes by str.replace for gll", "engine.py",
+        "        text = text.replace(word, \"\") if grl else \"\".join(text.rsplit(word))\n",
+        "        text = text.replace(word, \"\")\n",
+        (f"{ENGINE}::TestLoopStates::test_every_drain_decides_as_the_passes",),
+    ),
+    # The sweeps' verdict path (engine._decider).
+    Mutant(
+        "the verdict path steps loop states through live_steps", "engine.py",
+        "table = {**aut.live_steps, **drains}",
+        "table = {**drains, **aut.live_steps}",
+        (CORPUS_EXPANSIONS,),
+    ),
+    Mutant(
+        "the verdict path binds the start's step from live_steps", "engine.py",
+        "first, rules = table[start], aut.rules_from[start]",
+        "first, rules = aut.live_steps[start], aut.rules_from[start]",
+        (CORPUS_EXPANSIONS,),
+    ),
+    Mutant(
+        "the verdict path never accepts the empty word", "engine.py",
+        "            if not word and start in finals:\n"
+        "                return True\n",
+        "",
+        (SMALL_SCOPE, CORPUS_EXPANSIONS),
+    ),
+    # A run that ends in a drain then steps on forever; these killers fail first.
+    Mutant(
+        "the verdict path never accepts after a step", "engine.py",
+        "            _, (left, state, right) = step\n"
+        "            if not left and not right and state in finals:\n"
+        "                return True\n",
+        "            _, (left, state, right) = step\n",
+        ("tests/test_oracles.py::TestCorpus::test_claims_hold[example1-rowj]",
+         "tests/test_oracles.py::TestCorpus::test_claims_hold[astarbstar-dfa]"),
+    ),
+    Mutant(
+        "the verdict frontier names the branch's length in its message", "engine.py",
+        "symbols on input of length {len(word)}",
+        "symbols on input of length {len(left) + len(right)}",
+        (f"{ENGINE}::TestSearchStorage::test_the_give_up_message_names_the_whole_input",),
+    ),
+    # The sweep's words (engine.iter_words).
+    Mutant(
+        "iter_words deals the tails from the share's own offset", "engine.py",
+        "tails[(share - index * len(tails)) % shares::shares]",
+        "tails[share::shares]",
+        (f"{ENGINE}::TestEnumerate::test_every_share_equals_the_reference_enumeration",
+         f"{ENGINE}::TestEnumerate::test_shares_deal_the_sweep_round_robin_within_each_length"),
+    ),
+    Mutant(
+        "iter_words deals the tails by head index", "engine.py",
+        "tails[(share - index * len(tails)) % shares::shares]",
+        "tails[(share - index) % shares::shares]",
+        (f"{ENGINE}::TestEnumerate::test_every_share_equals_the_reference_enumeration",
+         f"{ENGINE}::TestEnumerate::test_shares_deal_the_sweep_round_robin_within_each_length"),
+    ),
     # The sweeps' verdict frontier (engine._decider).
     Mutant(
         "verdict frontier steps through live_steps", "engine.py",
@@ -137,12 +410,12 @@ MUTANTS = [
         "            left, state, right = (\"\", rule.dst, word[1:]) if grl else (word[:-1], rule.dst, \"\")\n",
         (SMALL_SCOPE, "tests/test_oracles.py::TestCorpus::test_claims_hold[example1-rowj]"),
     ),
-    # The step protocol (engine._compile_step, _deletions, successors, _frontier).
+    # The step protocol (engine._compile_step, _deletions, successors, _traced).
     Mutant(
         "general returns a one-element list", "engine.py",
         "return kept if len(kept) > 1 else kept[0] if kept else ()",
         "return kept if kept else ()",
-        (f"{ENGINE}::TestSuccessors::test_unit_step_equals_the_general_rule",),
+        (UNIT_STEP,),
     ),
     Mutant(
         "_deletions drops the keep filter", "engine.py",
@@ -151,7 +424,7 @@ MUTANTS = [
         "right[pos + len(rule.word):]))\n"
         "                for rule, pos in hits]\n",
         (f"{ENGINE}::TestVerdictPath::test_one_live_deletion_of_two_goes_on_alone",
-         f"{ENGINE}::TestSuccessors::test_unit_step_equals_the_general_rule"),
+         UNIT_STEP),
     ),
     Mutant(
         "successors omits the return", "engine.py",
@@ -164,10 +437,57 @@ MUTANTS = [
     ),
     Mutant(
         "the traced frontier drops a lone successor", "engine.py",
-        "steps = [(steps[0], Configuration._make(steps[1]))] if steps else ()",
-        "steps = ()",
+        "step = [(step[0], Configuration._make(step[1]))] if step else ()",
+        "step = ()",
         ("tests/test_acceptance.py::test_criterion_04_branching_machine_language",
          f"{ENGINE}::TestMember::test_search_limit_guard"),
+    ),
+    # The traced search (engine._traced) and its two callers.
+    Mutant(
+        "traced frontier drops the visited-set test", "engine.py",
+        "            if nxt in seen:\n"
+        "                continue\n",
+        "",
+        (f"{ENGINE}::TestSearchStorage::"
+         "test_branches_that_reconverge_after_a_single_successor_stretch",),
+    ),
+    Mutant(
+        "traced frontier stops charging the budget", "engine.py",
+        "budget -= len(nxt.left) + len(nxt.right) + 1",
+        "budget -= 0",
+        (f"{ENGINE}::TestMember::test_search_limit_guard",),
+    ),
+    Mutant(
+        "traced frontier names the branch's length in its message", "engine.py",
+        "{len(start.left) + len(start.right)}",
+        "{len(nxt.left) + len(nxt.right)}",
+        (f"{ENGINE}::TestSearchStorage::test_the_give_up_message_names_the_whole_input",),
+    ),
+    Mutant(
+        "traced path phase links no move", "engine.py",
+        "        path = (move, path)\n",
+        "",
+        (REPLAY,),
+    ),
+    Mutant(
+        "traced frontier drops the accepting move", "engine.py",
+        "_moves((move, path))",
+        "_moves(path)",
+        (REPLAY,),
+    ),
+    Mutant(
+        "traced search runs from a dead start", "engine.py",
+        "    if state not in aut.live:\n"
+        "        return False, None\n",
+        "",
+        (f"{ENGINE}::TestMember::test_empty_input_accepted_iff_start_final",
+         f"{ENGINE}::TestDeadStatePruning::test_dead_start_rejects_without_building_the_search_tables"),
+    ),
+    Mutant(
+        "shortest_trace searches depth-first", "engine.py",
+        "return _traced(aut, initial_config(aut, word), deque.popleft)",
+        "return _traced(aut, initial_config(aut, word), deque.pop)",
+        (SMALL_SCOPE,),
     ),
     # The marked-tape machine's run up to its first branch (lba.lba_run).
     Mutant(
@@ -187,6 +507,73 @@ MUTANTS = [
         "MARK * (hi - pos)",
         "MARK * (hi - pos - 1)",
         (f"{LBA}::TestRuns::test_each_reachable_configuration_is_expanded_once",),
+    ),
+    # The marked-tape machine's macro-steps and frontier (lba._machine_successors, lba_run).
+    # The reference walks loop forever on an idle compaction, so one killer only.
+    Mutant(
+        "lba compacts a tape with nothing marked", "lba.py",
+        "    if not out and head:\n",
+        "    if not out:\n",
+        (f"{LBA}::TestRuns::test_stuck_unmarked_tape_has_no_move",),
+    ),
+    Mutant(
+        "lba_run never consults its visited set", "lba.py",
+        "            if nxt in visited:\n"
+        "                continue\n",
+        "",
+        (f"{LBA}::TestRuns::test_each_reachable_configuration_is_expanded_once",),
+    ),
+    Mutant(
+        "lba marks with an input symbol", "lba.py",
+        "MARK = \"#\"",
+        "MARK = \"a\"",
+        (f"{LBA}::TestTapeInvariants::test_mark_is_no_input_symbol", LEFT_REVERSAL),
+    ),
+    Mutant(
+        "lba_run follows only the first of two successors", "lba.py",
+        "        for nxt in steps:\n",
+        "        for nxt in steps[:1]:\n",
+        (LEFT_REVERSAL, MACRO_STEPS),
+    ),
+    # The single-symbol reference run (transforms.one_way_reference_trace).
+    Mutant(
+        "one_way_reference_trace deletes without rotating", "transforms.py",
+        "rest = rest[pos + 1:] + rest[:pos]",
+        "rest = rest[:pos] + rest[pos + 1:]",
+        ("tests/test_transforms.py::TestOneWayReference::test_worked_derivation", UNIT_MACHINES),
+    ),
+    Mutant(
+        "one_way_reference_trace scans gll from the left", "transforms.py",
+        "pos = next((i for i in range(len(rest) - 1, -1, -1) if rest[i] in symbols), None)",
+        "pos = next((i for i, ch in enumerate(rest) if ch in symbols), None)",
+        ("tests/test_transforms.py::TestOneWayReference::test_agrees_with_engine_on_left_unit_machine",
+         UNIT_MACHINES),
+    ),
+    # The command line (cli.run_cli) and the forked sweep (_forked.forked_sweep).
+    Mutant(
+        "run_cli keeps an empty word list", "cli.py",
+        "    if getattr(args, \"word\", None) == []:\n"
+        "        args.word = \"--\"\n",
+        "",
+        ("tests/test_cli.py::TestMember::test_the_word_double_dash_after_double_dash",
+         "tests/test_cli.py::TestMember::test_the_word_double_dash_outside_the_alphabet_is_an_error"),
+    ),
+    Mutant(
+        "forked_sweep opens its pipes outside the fallback", "_forked.py",
+        "    try:\n"
+        "        for share in range(1, processes):\n"
+        "            read, write = os.pipe()\n",
+        "    opened = [os.pipe() for _ in range(1, processes)]\n"
+        "    try:\n"
+        "        for share, (read, write) in zip(range(1, processes), opened):\n",
+        (f"{ENGINE}::TestForkedSweep::test_a_fork_that_fails_leaves_the_sweep_to_this_process",),
+    ),
+    Mutant(
+        "forked_sweep reads a missing report as no differences", "_forked.py",
+        "rows += marshal.loads(b\"\".join(iter(lambda: os.read(read, 1 << 16), b\"\")))",
+        "rows += marshal.loads(b\"\".join(iter(lambda: os.read(read, 1 << 16), b\"\")) or marshal.dumps([]))",
+        (f"{ENGINE}::TestForkedSweep::test_a_child_that_dies_leaves_its_share_to_this_process",
+         f"{ENGINE}::TestForkedSweep::test_the_earliest_failing_word_raises_here"),
     ),
 ]
 

@@ -288,15 +288,11 @@ class TestSuccessors:
             "general", "one_rule_grl", "one_rule_gll", "one_symbol_grl", "one_symbol_gll",
             "every_symbol_grl", "every_symbol_gll",
         }
-        # Bound before Kind is patched, as binding reads the kind; each then
-        # searches from every configuration, stepping every state before it
-        # branches through its compiled step alone, and each verdict path,
-        # its drains included, decides every short word.
-        searches = [
-            (aut, engine._searcher(aut, take))
-            for aut, _ in pairs
-            for take in (deque.pop, deque.popleft)
-        ]
+        # Each traced search runs from every configuration, stepping every
+        # state before it branches through its compiled step alone, and each
+        # verdict path, bound before Kind is patched as binding reads the
+        # kind, decides every short word with its drains.
+        searches = [(aut, take) for aut, _ in pairs for take in (deque.pop, deque.popleft)]
         deciders = [(engine._decider(aut), list(iter_words(aut.alphabet, 6))) for aut, _ in pairs]
 
         def steps():
@@ -308,8 +304,10 @@ class TestSuccessors:
                 out.append(engine.enabled_deletions(aut.kind, rules, text))
             for tape in tapes:
                 out.append(lba._machine_successors(grl.rules_from, tape))
-            for aut, search in searches:
-                out.extend(search(*config) for owner, config, _ in configs if owner is aut)
+            for aut, take in searches:
+                out.extend(
+                    engine._traced(aut, config, take) for owner, config, _ in configs if owner is aut
+                )
             for decide, words in deciders:
                 out.extend(map(decide, words))
             return out
