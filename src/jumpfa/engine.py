@@ -21,12 +21,14 @@ stores nothing until it branches, and keeps a frontier from its first
 branch on. The sweeps, which read the verdict alone, decide through a
 search of their own (:func:`_decider`): it links no move, before or after
 it branches, and it ends a run at a final state whose only rule loops on it
-by a drain (:func:`_compile_drain`), in its frontier too. A move is the
-:class:`~jumpfa.core.Rule` a consume applies, ``(src, word, dst)``, since a
-rule fires only at the nearest occurrence of its word, or ``None`` for the
-return, which applies no rule. Configurations and traces are named tuples;
-a :class:`Trace` is ``(kind, start, moves)`` and replays its configurations
-from the moves.
+by a drain (:func:`_compile_drain`), in its frontier too. Where it branches,
+it first drains the trailing successors in such a state, which
+:func:`member` takes first, and stays one path if one successor is left. A
+move is the :class:`~jumpfa.core.Rule` a consume applies, ``(src, word,
+dst)``, since a rule fires only at the nearest occurrence of its word, or
+``None`` for the return, which applies no rule. Configurations and traces
+are named tuples; a :class:`Trace` is ``(kind, start, moves)`` and replays
+its configurations from the moves.
 
 One consume rule decides every deletion of a step (:func:`enabled_deletions`):
 find the nearest occurrence of each rule word once; a rule fires iff its
@@ -502,17 +504,26 @@ def _decider(aut: Automaton) -> Callable[[str], bool]:
     no expansion :func:`member` does not make, and skips the drained ones
     and such a start's.
 
-    From the first step that returns two or more live successors on, it runs
-    a frontier phase of its own, not :func:`_traced`'s: ``(left, state,
-    right)`` tuples on a list taken last first, as :func:`member` takes them,
-    with one visited set charged as :func:`_traced` charges its own, no move
-    linked, and every configuration stepped through the same table, so a
-    loop state is still decided by its drain. :func:`member` expands a loop
-    state's configuration and then every configuration after it, all in
-    that state, before it takes another; the drain stores none of those. So
-    this search stores a subset of what :func:`member` stores at each point,
-    raises :class:`SearchLimitError` only on words where :func:`member`
-    raises it, and may decide words on which :func:`member` gives up.
+    :func:`member` expands a loop state's configuration and then every
+    configuration after it, all in that state, before it takes another; the
+    drain stores none of those. When a step returns two or more live
+    successors, as a list, the path phase drains its trailing successors in
+    a loop state, last first, as :func:`member` takes them first: an
+    accepting drain accepts the word, and a rejecting one drops the
+    successor. The run left after may meet a dropped subtree again only to
+    reject it again, the graph being acyclic. If one successor is left, the
+    path phase goes on with it; if none, the word rejects.
+
+    With two or more left, it runs a frontier phase of its own, not
+    :func:`_traced`'s: ``(left, state, right)`` tuples on a list taken last
+    first, as :func:`member` takes them, with one visited set charged as
+    :func:`_traced` charges its own, no move linked, and every configuration
+    stepped through the same table, so a loop state is still decided by its
+    drain. So this search stores a subset of what :func:`member` stores at
+    each point, raises :class:`SearchLimitError` only on words where
+    :func:`member` raises it, and may decide words on which :func:`member`
+    gives up: on ``nonrowj-grl``, every word, since its one branch leaves a
+    lone successor after the drain.
     """
     start, finals, live = aut.start, aut.finals, aut.live
     if start not in live:
@@ -540,7 +551,16 @@ def _decider(aut: Automaton) -> Callable[[str], bool]:
                 return True
             left, state, right = ("", start, word) if grl else (word, start, "")
             step = first(left, right)
-        while step.__class__ is not list:
+        while True:
+            if step.__class__ is list:
+                # member takes the trailing successors first: drain the loop ones.
+                while step and step[-1][1].state in drains:
+                    _, (left, state, right) = step.pop()
+                    if drains[state](left, right):
+                        return True
+                if len(step) > 1:
+                    break
+                step = step[0] if step else ()
             if not step:
                 return False
             _, (left, state, right) = step

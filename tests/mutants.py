@@ -35,6 +35,7 @@ ENGINE, LBA = "tests/test_engine.py", "tests/test_lba.py"
 SMALL_SCOPE = f"{ENGINE}::TestSmallScope::test_every_search_decides_as_the_naive_search"
 CORPUS_EXPANSIONS = f"{ENGINE}::TestDepthFirstMember::test_agrees_with_shortest_trace_on_the_corpus"
 LOOKUP = f"{ENGINE}::TestVerdictPath::test_a_start_that_reads_every_symbol_moves_by_one_lookup"
+BRANCH_DRAIN = f"{ENGINE}::TestVerdictPath::test_drains_the_trailing_loop_successors_of_a_branch"
 MACRO_STEPS = f"{LBA}::TestEquivalence::test_runs_as_the_per_macro_step_reference"
 UNIT_STEP = f"{ENGINE}::TestSuccessors::test_unit_step_equals_the_general_rule"
 REPLAY = f"{ENGINE}::TestMember::test_trace_replays_as_valid_run"
@@ -291,6 +292,27 @@ MUTANTS = [
         "",
         (SMALL_SCOPE, CORPUS_EXPANSIONS),
     ),
+    # The drain of a branch's trailing loop successors (engine._decider).
+    Mutant(
+        "the verdict path ignores a drained successor's verdict", "engine.py",
+        "                    if drains[state](left, right):\n"
+        "                        return True\n",
+        "",
+        (BRANCH_DRAIN, "tests/test_oracles.py::TestCorpus::test_claims_hold[nonrowj-grl]"),
+    ),
+    Mutant(
+        "the verdict path drains a loop successor that does not trail", "engine.py",
+        "                while step and step[-1][1].state in drains:\n",
+        "                step.sort(key=lambda kept: kept[1].state in drains)\n"
+        "                while step and step[-1][1].state in drains:\n",
+        (BRANCH_DRAIN,),
+    ),
+    Mutant(
+        "the verdict path sends a lone remaining successor to its frontier", "engine.py",
+        "                if len(step) > 1:\n",
+        "                if step:\n",
+        (BRANCH_DRAIN,),
+    ),
     # A run that ends in a drain then steps on forever; these killers fail first.
     Mutant(
         "the verdict path never accepts after a step", "engine.py",
@@ -343,7 +365,7 @@ MUTANTS = [
         "verdict frontier takes entries first in, first out", "engine.py",
         "left, state, right = stack.pop()",
         "left, state, right = stack.pop(0)",
-        (CORPUS_EXPANSIONS,),
+        (BRANCH_DRAIN,),
     ),
     Mutant(
         "verdict frontier stops charging the budget", "engine.py",

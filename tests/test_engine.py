@@ -5,7 +5,7 @@ import random
 import re
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
 from itertools import chain, combinations, product, zip_longest
 
@@ -339,10 +339,10 @@ def assert_replays(aut, word, trace):
         assert (move, trace.configs[i + 1]) in successors(aut, trace.configs[i])
 
 
-def assert_stores_ten_symbols_rejecting_aab(monkeypatch, search):
+def assert_stores_ten_symbols_rejecting_aab(monkeypatch, search, aut):
     """Both searches store the same configurations on a rejected word, so they
-    give up on it under the same budgets."""
-    aut = load_bundled("nonrowj-grl")
+    give up on it under the same budgets. ``aut`` is ``nonrowj-grl`` or
+    :func:`nonrowj_aa_first`, which branch on ``aab`` alike."""
     monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", 9)
     message = "^gave up after storing 9 symbols on input of length 3$"
     with pytest.raises(SearchLimitError, match=message):
@@ -441,10 +441,12 @@ class TestMember:
         assert_empty_input_accepted_iff_start_final(shortest_trace)
 
     def test_search_limit_guard(self, monkeypatch):
-        assert_stores_ten_symbols_rejecting_aab(monkeypatch, member)
+        assert_stores_ten_symbols_rejecting_aab(monkeypatch, member, load_bundled("nonrowj-grl"))
 
     def test_shortest_trace_search_limit_guard(self, monkeypatch):
-        assert_stores_ten_symbols_rejecting_aab(monkeypatch, shortest_trace)
+        assert_stores_ten_symbols_rejecting_aab(
+            monkeypatch, shortest_trace, load_bundled("nonrowj-grl")
+        )
 
     def test_word_over_alphabet_required(self):
         with pytest.raises(SymbolOutsideAlphabetError):
@@ -608,10 +610,10 @@ class TestForkedSweep:
         assert len(pids) == 2 * (processes - 1)
 
     def test_the_earliest_search_limit_wins(self, monkeypatch):
-        # Budget 6 on nonrowj-grl: "aab" (word 1 of length 3, a child's) is the
-        # first word to give up, this process's first is "aaaa".
+        # Budget 6 on nonrowj_aa_first(): "aab" (word 1 of length 3, a child's)
+        # is the first word to give up, this process's first is "aaaa".
         monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", 6)
-        aut = load_bundled("nonrowj-grl")
+        aut = nonrowj_aa_first()
         with pytest.raises(SearchLimitError) as sequential:
             sequential_differences("ab", 7, lambda w: helpers.accepts(aut, w), lambda w: False)
         assert str(sequential.value).endswith(" on input of length 3")
@@ -1091,6 +1093,16 @@ def verdict_search(aut, word):
     return engine._decider(aut)(word), None
 
 
+def nonrowj_aa_first():
+    """``nonrowj-grl`` with ``q0 aa q4`` declared before ``q0 a q1``: the
+    same machine, but where q0 branches, on a word whose first a is followed
+    by another, the q1 successor trails. ``member`` takes it first, so the
+    verdict path cannot drain the q4 one and goes on to its frontier."""
+    aut = load_bundled("nonrowj-grl")
+    rules = sorted(aut.rules, key=lambda rule: rule[:2] != ("q0", "aa"))
+    return make_automaton(aut.kind, aut.alphabet, aut.states, aut.start, aut.finals, rules)
+
+
 def reads_every_symbol_at_the_start(aut):
     """Whether the verdict path takes the start's move by one lookup: the
     start is live, no loop state, and its rules read every symbol, one each."""
@@ -1273,15 +1285,42 @@ class TestVerdictPath:
         for word in iter_words("ab", 6):
             assert_depth_first_agrees(aut, word)
 
+    def test_drains_the_trailing_loop_successors_of_a_branch(self, monkeypatch):
+        # nonrowj-grl branches at q0, on a word whose first a is followed by
+        # another, into a q1 successor and then a q4 one, q4 being a loop
+        # state. Member takes the q4 one first, so the verdict path decides
+        # it by q4's drain and goes on with the q1 one alone: it stores
+        # nothing. In nonrowj_aa_first() the q1 successor trails, so the same
+        # 247 words of length <= 8 reach the frontier, whose order must be
+        # member's.
+        nonrowj, aa_first = load_bundled("nonrowj-grl"), nonrowj_aa_first()
+        for word in iter_words("ab", 6):
+            assert_depth_first_agrees(aa_first, word)
+        words = list(iter_words("ab", 8))
+        branching = [w for w in words if w.lstrip("b").startswith("aa")]
+        assert len(branching) == 247
+        expected = [member(nonrowj, w)[0] for w in words]
+        monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", 0)
+        decide = engine._decider(nonrowj)
+        assert [decide(w) for w in words] == expected
+        decide, gave_up = engine._decider(aa_first), []
+        for word in words:
+            try:
+                decide(word)
+            except SearchLimitError:
+                gave_up.append(word)
+        assert gave_up == branching
+
     def test_search_limit_guard(self, monkeypatch):
-        assert_stores_ten_symbols_rejecting_aab(monkeypatch, verdict_search)
+        assert_stores_ten_symbols_rejecting_aab(monkeypatch, verdict_search, nonrowj_aa_first())
 
     def test_decides_a_word_member_gives_up_on(self, monkeypatch):
-        # nonrowj-grl branches on aaaa at q0 into ("", q1, "aaa") and
-        # ("", q4, "aa"), 7 symbols stored, and takes the q4 one first. Member
-        # deletes one a there and stores ("", q4, "a"), 2 more, past a budget
-        # of 8; q4's drain deletes both and stores only ("", q4, ""), 1 more.
-        aut = load_bundled("nonrowj-grl")
+        # nonrowj_aa_first() branches on aaaa at q0 into ("", q4, "aa") and
+        # ("", q1, "aaa"), 7 symbols stored, and takes the q1 one first, which
+        # has no move. Then member deletes one a at q4 and stores ("", q4,
+        # "a"), 2 more, past a budget of 8; q4's drain deletes both and stores
+        # only ("", q4, ""), 1 more.
+        aut = nonrowj_aa_first()
         decide = engine._decider(aut)
         message = "^gave up after storing {} symbols on input of length 4$"
         monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", 8)
@@ -1295,16 +1334,20 @@ class TestVerdictPath:
     def test_gives_up_only_where_member_gives_up(self, monkeypatch):
         # The verdict path stores a subset of what member stores, so under
         # every budget it gives up only where member gives up, and otherwise
-        # decides as member does, also on some words member gives up on.
+        # decides as member does, also on some words member gives up on. On
+        # nonrowj-grl it drains its one branch and stores nothing, so it
+        # decides every word member gives up on; nonrowj_aa_first() reaches
+        # its frontier. No other corpus machine makes member give up here.
         def outcome(search, word):
             try:
                 return search(word)
             except SearchLimitError:
                 return "gave up"
 
-        checks = member_alone = 0
+        checks, member_alone, member_gave_up = 0, Counter(), Counter()
         default = engine.MAX_STORED_SYMBOLS
-        for aut in helpers.corpus().values():
+        machines = {**helpers.corpus(), "nonrowj_aa_first": nonrowj_aa_first()}
+        for name, aut in machines.items():
             decide = engine._decider(aut)
             for word in iter_words(aut.alphabet, 6 if len(aut.alphabet) <= 2 else 5):
                 monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", default)
@@ -1316,8 +1359,13 @@ class TestVerdictPath:
                     assert expected in (accepted, "gave up")
                     assert verdict in (expected, accepted), (aut.rules, word, budget)
                     checks += 1
-                    member_alone += verdict != expected
-        assert (checks, member_alone) == (39438, 38)
+                    if verdict != expected:
+                        member_alone[name] += 1
+                    if expected == "gave up":
+                        member_gave_up[name] += 1
+        assert checks == 39438 + 2667
+        assert member_gave_up == {"nonrowj-grl": 1115, "nonrowj_aa_first": 1108}
+        assert member_alone == {"nonrowj-grl": 1115, "nonrowj_aa_first": 33}
 
     def test_a_start_that_reads_every_symbol_moves_by_one_lookup(self):
         # q0 reads a, b and c, one rule each: the first symbol (the last for
