@@ -21,14 +21,18 @@ stores nothing until it branches, and keeps a frontier from its first
 branch on. The sweeps, which read the verdict alone, decide through a
 search of their own (:func:`_decider`): it links no move, before or after
 it branches, and it ends a run at a final state whose only rule loops on it
-by a drain (:func:`_compile_drain`), in its frontier too. Where it branches,
-it first drains the trailing successors in such a state, which
-:func:`member` takes first, and stays one path if one successor is left. A
-move is the :class:`~jumpfa.core.Rule` a consume applies, ``(src, word,
-dst)``, since a rule fires only at the nearest occurrence of its word, or
-``None`` for the return, which applies no rule. Configurations and traces
-are named tuples; a :class:`Trace` is ``(kind, start, moves)`` and replays
-its configurations from the moves.
+by a drain (:func:`_compile_drain`), in its frontier too. It ends a run at
+a state from which every reachable state has no rule or one rule of one
+symbol by a count drain (:func:`_compile_count_drain`): such a run is one
+path that deletes one symbol a consume, in an order its states fix, so the
+counts of the symbols left decide it. Where it branches, it first drains
+the trailing successors in a drained state, which :func:`member` takes
+first, and stays one path if one successor is left. A move is the
+:class:`~jumpfa.core.Rule` a consume applies, ``(src, word, dst)``, since a
+rule fires only at the nearest occurrence of its word, or ``None`` for the
+return, which applies no rule. Configurations and traces are named tuples;
+a :class:`Trace` is ``(kind, start, moves)`` and replays its configurations
+from the moves.
 
 One consume rule decides every deletion of a step (:func:`enabled_deletions`):
 find the nearest occurrence of each rule word once; a rule fires iff its
@@ -493,10 +497,17 @@ def _decider(aut: Automaton) -> Callable[[str], bool]:
 
     ``decide(word)`` runs a path phase like :func:`_traced`'s that links no
     move. A state of ``aut.loops`` steps by its drain (:func:`_compile_drain`),
-    so a run that reaches one before it branches ends there. The start
-    state's step (its drain, if it loops) is read once, here, and taken
+    and any other live state from which every reachable state has no rule or
+    one rule of one symbol steps by its count drain
+    (:func:`_compile_count_drain`), so a run that reaches either before it
+    branches ends there. A count drain is exact: in such a state the one
+    readable symbol fires at its nearest occurrence, a return only wraps the
+    text, and each consume deletes one symbol, so the run deletes the ``n``
+    symbols left iff they count as the first ``n`` deletions along the rules,
+    and then accepts iff the state it has reached is final. The start
+    state's step (its drain, if it has one) is read once, here, and taken
     before the loop, which tests acceptance before each later step. A start
-    that does not loop and whose rules read every symbol, one each (a state
+    with no drain and whose rules read every symbol, one each (a state
     of the original one-way jumping automaton), moves by the first symbol
     alone (the last for ``gll``): ``heads`` maps it to the live rule, or to
     ``()`` if the rule leads to a dead state, which rejects; the empty word
@@ -504,11 +515,12 @@ def _decider(aut: Automaton) -> Callable[[str], bool]:
     no expansion :func:`member` does not make, and skips the drained ones
     and such a start's.
 
-    :func:`member` expands a loop state's configuration and then every
-    configuration after it, all in that state, before it takes another; the
-    drain stores none of those. When a step returns two or more live
+    :func:`member` expands a drained state's configuration and then every
+    configuration after it, each in a drained state and, for a count drain,
+    the lone successor of the one before, before it takes another; the
+    drains store none of those. When a step returns two or more live
     successors, as a list, the path phase drains its trailing successors in
-    a loop state, last first, as :func:`member` takes them first: an
+    a drained state, last first, as :func:`member` takes them first: an
     accepting drain accepts the word, and a rejecting one drops the
     successor. The run left after may meet a dropped subtree again only to
     reject it again, the graph being acyclic. If one successor is left, the
@@ -518,18 +530,21 @@ def _decider(aut: Automaton) -> Callable[[str], bool]:
     :func:`_traced`'s: ``(left, state, right)`` tuples on a list taken last
     first, as :func:`member` takes them, with one visited set charged as
     :func:`_traced` charges its own, no move linked, and every configuration
-    stepped through the same table, so a loop state is still decided by its
-    drain. So this search stores a subset of what :func:`member` stores at
-    each point, raises :class:`SearchLimitError` only on words where
+    stepped through the same table, so a drained state is still decided by
+    its drain. So this search stores a subset of what :func:`member` stores
+    at each point, raises :class:`SearchLimitError` only on words where
     :func:`member` raises it, and may decide words on which :func:`member`
-    gives up: on ``nonrowj-grl``, every word, since its one branch leaves a
-    lone successor after the drain.
+    gives up: on ``nonrowj-grl``, every word, since its one branch leaves
+    no successor after the drains, and on any machine, every word whose
+    branches the drains decide.
     """
     start, finals, live = aut.start, aut.finals, aut.live
     if start not in live:
         return lambda word: False
     grl = aut.kind is _RIGHT
     drains = {q: _compile_drain(grl, q, word, aut.alphabet) for q, word in aut.loops.items()}
+    counted = ((q, _compile_count_drain(aut, q)) for q in live if q not in drains)
+    drains.update((q, drain) for q, drain in counted if drain)
     table = {**aut.live_steps, **drains}
     first, rules = table[start], aut.rules_from[start]
     # Rule words are over the alphabet, one rule a word: these read one symbol each.
@@ -633,6 +648,49 @@ def _drained(grl: bool, word: str, left: str, right: str) -> bool:
     while word in text:
         text = text.replace(word, "") if grl else "".join(text.rsplit(word))
     return not text
+
+
+def _compile_count_drain(aut: Automaton, state: str) -> Callable[[str, str], _Stepped] | None:
+    """The step that :func:`_decider` takes in ``state`` if every state
+    reachable from it has no rule or one rule of one symbol, else ``None``.
+    Such a run is one path fixed by its states: the lone readable symbol fires
+    at its nearest occurrence, a return only wraps the text, and each consume
+    deletes one symbol. So from ``(left, state, right)`` it deletes all ``n``
+    symbols iff they count as the first ``n`` deletions of the walk along the
+    rules, and it accepts iff the ``n``-th state is final too: the drain moves
+    to that bare state then, else it returns ``()``. The walk of each length
+    is taken once, and a length whose walk stops or ends at a state that is
+    not final rejects without counting."""
+    rules_from, alphabet, runs = aut.rules_from, aut.alphabet, {}
+    q, seen = state, set()
+    while q not in seen and rules_from[q]:
+        seen.add(q)
+        if len(rules_from[q]) > 1 or len(rules_from[q][0].word) > 1:
+            return None
+        q = rules_from[q][0].dst
+
+    def walk(n: int) -> tuple[tuple[int, ...], _Stepped] | None:
+        counts, q = dict.fromkeys(alphabet, 0), state
+        for _ in range(n):
+            if not rules_from[q]:
+                q = None  # the run stops with text left
+                break
+            (rule,) = rules_from[q]
+            counts[rule.word] += 1
+            q = rule.dst
+        runs[n] = (tuple(counts.values()), (None, ("", q, ""))) if q in aut.finals else None
+        return runs[n]
+
+    def drain(left: str, right: str) -> _Stepped:
+        try:
+            run = runs[len(left) + len(right)]
+        except KeyError:
+            run = walk(len(left) + len(right))
+        if run is None:
+            return ()
+        return run[1] if tuple(map((left + right).count, alphabet)) == run[0] else ()
+
+    return drain
 
 
 def _moves(path: _Path) -> tuple[Move, ...]:

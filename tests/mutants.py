@@ -36,6 +36,8 @@ SMALL_SCOPE = f"{ENGINE}::TestSmallScope::test_every_search_decides_as_the_naive
 CORPUS_EXPANSIONS = f"{ENGINE}::TestDepthFirstMember::test_agrees_with_shortest_trace_on_the_corpus"
 LOOKUP = f"{ENGINE}::TestVerdictPath::test_a_start_that_reads_every_symbol_moves_by_one_lookup"
 BRANCH_DRAIN = f"{ENGINE}::TestVerdictPath::test_drains_the_trailing_loop_successors_of_a_branch"
+COUNT_DRAIN = f"{ENGINE}::TestCountDrain::test_a_drain_accepts_where_the_walk_of_its_length_ends_final"
+CHAIN_SCOPE = f"{ENGINE}::TestCountDrain::test_every_one_symbol_chain_decides_as_the_one_way_reference"
 MACRO_STEPS = f"{LBA}::TestEquivalence::test_runs_as_the_per_macro_step_reference"
 UNIT_STEP = f"{ENGINE}::TestSuccessors::test_unit_step_equals_the_general_rule"
 REPLAY = f"{ENGINE}::TestMember::test_trace_replays_as_valid_run"
@@ -272,6 +274,45 @@ MUTANTS = [
         "        text = text.replace(word, \"\")\n",
         (f"{ENGINE}::TestLoopStates::test_every_drain_decides_as_the_passes",),
     ),
+    # The count drain of a one-symbol chain (engine._compile_count_drain). A wrong
+    # accept in the path phase steps the bare state forever: the first killer calls
+    # the drain alone.
+    Mutant(
+        "the count drain accepts at a state that is not final", "engine.py",
+        " if q in aut.finals else None\n",
+        "\n",
+        (COUNT_DRAIN,),
+    ),
+    Mutant(
+        "the count drain takes a rule of two symbols as one", "engine.py",
+        "len(rules_from[q][0].word) > 1",
+        "len(rules_from[q][0].word) > 2",
+        (COUNT_DRAIN, f"{ENGINE}::TestCountDrain::test_no_count_drain_where_the_chain_reaches_a_wider_state"),
+    ),
+    Mutant(
+        "the count drain takes a state of two rules", "engine.py",
+        "if len(rules_from[q]) > 1 or",
+        "if len(rules_from[q]) > 2 or",
+        (COUNT_DRAIN, f"{ENGINE}::TestCountDrain::test_no_count_drain_where_the_chain_reaches_a_wider_state"),
+    ),
+    Mutant(
+        "the count drain walks one step short", "engine.py",
+        "        for _ in range(n):\n",
+        "        for _ in range(n - 1):\n",
+        (COUNT_DRAIN, CHAIN_SCOPE),
+    ),
+    Mutant(
+        "the count drain counts the right buffer alone", "engine.py",
+        "tuple(map((left + right).count, alphabet))",
+        "tuple(map(right.count, alphabet))",
+        (COUNT_DRAIN, CHAIN_SCOPE),
+    ),
+    Mutant(
+        "the verdict path counts no run", "engine.py",
+        "    drains.update((q, drain) for q, drain in counted if drain)\n",
+        "",
+        (f"{ENGINE}::TestCountDrain::test_example1_rowj_makes_no_step", CORPUS_EXPANSIONS),
+    ),
     # The sweeps' verdict path (engine._decider).
     Mutant(
         "the verdict path steps loop states through live_steps", "engine.py",
@@ -313,15 +354,15 @@ MUTANTS = [
         "                if step:\n",
         (BRANCH_DRAIN,),
     ),
-    # A run that ends in a drain then steps on forever; these killers fail first.
+    # A run that ends in a drain then steps on forever. astarbstar-dfa has no
+    # drained state, so its killer fails first.
     Mutant(
         "the verdict path never accepts after a step", "engine.py",
         "            _, (left, state, right) = step\n"
         "            if not left and not right and state in finals:\n"
         "                return True\n",
         "            _, (left, state, right) = step\n",
-        ("tests/test_oracles.py::TestCorpus::test_claims_hold[example1-rowj]",
-         "tests/test_oracles.py::TestCorpus::test_claims_hold[astarbstar-dfa]"),
+        ("tests/test_oracles.py::TestCorpus::test_claims_hold[astarbstar-dfa]",),
     ),
     Mutant(
         "the verdict frontier names the branch's length in its message", "engine.py",

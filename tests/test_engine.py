@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from itertools import chain, combinations, product, zip_longest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -1093,22 +1093,57 @@ def verdict_search(aut, word):
     return engine._decider(aut)(word), None
 
 
-def nonrowj_aa_first():
-    """``nonrowj-grl`` with ``q0 aa q4`` declared before ``q0 a q1``: the
-    same machine, but where q0 branches, on a word whose first a is followed
-    by another, the q1 successor trails. ``member`` takes it first, so the
-    verdict path cannot drain the q4 one and goes on to its frontier."""
+def nonrowj_wide():
+    """``nonrowj-grl`` with a second rule in each of q1, q2 and q3, into a
+    new dead state d: ``q1 bb d``, ``q2 aa d`` and ``q3 bb d``. A deletion
+    into d is never built, and ``b`` (``a``) is readable wherever ``bb``
+    (``aa``) is, so the language is ``nonrowj-grl``'s. But q1's two rules
+    keep the verdict path from counting the run out of it, as it counts the
+    run out of ``nonrowj-grl``'s q1."""
     aut = load_bundled("nonrowj-grl")
+    rules = [*aut.rules, ("q1", "bb", "d"), ("q2", "aa", "d"), ("q3", "bb", "d")]
+    return make_automaton(aut.kind, aut.alphabet, (*aut.states, "d"), aut.start, aut.finals, rules)
+
+
+def nonrowj_aa_first():
+    """:func:`nonrowj_wide` with ``q0 aa q4`` declared before ``q0 a q1``:
+    the same machine, but where q0 branches, on a word whose first a is
+    followed by another, the q1 successor trails. ``member`` takes it first,
+    and the verdict path counts no run out of q1, so it cannot drain the q4
+    one and goes on to its frontier."""
+    aut = nonrowj_wide()
     rules = sorted(aut.rules, key=lambda rule: rule[:2] != ("q0", "aa"))
     return make_automaton(aut.kind, aut.alphabet, aut.states, aut.start, aut.finals, rules)
 
 
+def count_decided(aut):
+    """The states from which every state reachable along ``aut.rules`` has no
+    rule or one rule of one symbol, read from the rules alone. The verdict
+    path decides a run out of such a state by counting its symbols, unless
+    the state is a loop state, which has a drain of its own."""
+    rules_from = {q: [rule for rule in aut.rules if rule.src == q] for q in aut.states}
+    decided = set()
+    for state in aut.states:
+        reached, todo = {state}, [state]
+        while todo:
+            for rule in rules_from[todo.pop()]:
+                if rule.dst not in reached:
+                    reached.add(rule.dst)
+                    todo.append(rule.dst)
+        if all(len(rules_from[q]) < 2 and all(len(r.word) == 1 for r in rules_from[q])
+               for q in reached):
+            decided.add(state)
+    return decided
+
+
 def reads_every_symbol_at_the_start(aut):
     """Whether the verdict path takes the start's move by one lookup: the
-    start is live, no loop state, and its rules read every symbol, one each."""
+    start is live, neither a loop state nor count-decided, and its rules read
+    every symbol, one each."""
     words = [rule.word for rule in aut.rules_from[aut.start]]
     return (
         aut.start in aut.live and aut.start not in aut.loops
+        and aut.start not in count_decided(aut)
         and all(len(w) == 1 for w in words) and set(words) >= set(aut.alphabet)
     )
 
@@ -1121,10 +1156,11 @@ def assert_depth_first_agrees(aut, word):
     # expands, save two kinds. A start that reads every symbol moves by one
     # lookup of the first symbol (the last for gll), not by its step, so
     # member's first expansion, the start's, is not made; member makes none
-    # only on the empty word at a final start. And it decides a loop state's
-    # configuration by its drain, before the search branches and after, so
-    # it expands no configuration in a loop state. Member expands such a
-    # configuration and all the configurations after it, in the same state,
+    # only on the empty word at a final start. And it decides a configuration
+    # in a loop state or a count-decided one by a drain, before the search
+    # branches and after, so it expands no configuration in such a state.
+    # Member expands such a configuration and all the configurations after
+    # it, each in such a state and the only successor of the one before,
     # before it takes another, so the two lists are otherwise equal.
     verdict, expanded = successor_log(verdict_search, aut, word)
     member_logged, member_expanded = successor_log(member, aut, word)
@@ -1134,7 +1170,8 @@ def assert_depth_first_agrees(aut, word):
         at_start = [] if not word and aut.start in aut.finals else [(aut.start, False)]
         assert member_expanded[:1] == at_start
         after_start = member_expanded[1:]
-    assert expanded == [(state, branched) for state, branched in after_start if state not in aut.loops]
+    drained = aut.loops.keys() | count_decided(aut)
+    assert expanded == [(state, went) for state, went in after_start if state not in drained]
     if accepted:
         assert_replays(aut, word, trace)
         assert len(trace.moves) >= len(shortest.moves)
@@ -1151,6 +1188,14 @@ class TestDepthFirstMember:
     # Beyond the enumeration: expansion counts, on up to four states and six rules.
     @settings(max_examples=300, deadline=None)
     @given(helpers.reconverging_runs())
+    # q1 has no rule, so the verdict path decides its configurations by counting.
+    @example((
+        make_automaton(
+            "grl", "abc", ["q0", "q1"], "q0", ["q0", "q1"],
+            [("q0", "b", "q1"), *(("q0", w, "q0") for w in ("ab", "ba", "bb", "a", "aa"))],
+        ),
+        "aacb",
+    ))
     def test_agrees_with_shortest_trace(self, run):
         assert_depth_first_agrees(*run)
 
@@ -1286,23 +1331,25 @@ class TestVerdictPath:
             assert_depth_first_agrees(aut, word)
 
     def test_drains_the_trailing_loop_successors_of_a_branch(self, monkeypatch):
-        # nonrowj-grl branches at q0, on a word whose first a is followed by
-        # another, into a q1 successor and then a q4 one, q4 being a loop
+        # nonrowj_wide() branches at q0, on a word whose first a is followed
+        # by another, into a q1 successor and then a q4 one, q4 being a loop
         # state. Member takes the q4 one first, so the verdict path decides
         # it by q4's drain and goes on with the q1 one alone: it stores
-        # nothing. In nonrowj_aa_first() the q1 successor trails, so the same
-        # 247 words of length <= 8 reach the frontier, whose order must be
-        # member's.
-        nonrowj, aa_first = load_bundled("nonrowj-grl"), nonrowj_aa_first()
+        # nothing. In nonrowj-grl it counts the q1 one out too. In
+        # nonrowj_aa_first() the q1 successor trails, so the same 247 words
+        # of length <= 8 reach the frontier, whose order must be member's.
+        nonrowj, wide, aa_first = load_bundled("nonrowj-grl"), nonrowj_wide(), nonrowj_aa_first()
         for word in iter_words("ab", 6):
+            assert_depth_first_agrees(wide, word)
             assert_depth_first_agrees(aa_first, word)
         words = list(iter_words("ab", 8))
         branching = [w for w in words if w.lstrip("b").startswith("aa")]
         assert len(branching) == 247
         expected = [member(nonrowj, w)[0] for w in words]
         monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", 0)
-        decide = engine._decider(nonrowj)
-        assert [decide(w) for w in words] == expected
+        for aut in (nonrowj, wide):
+            decide = engine._decider(aut)
+            assert [decide(w) for w in words] == expected
         decide, gave_up = engine._decider(aa_first), []
         for word in words:
             try:
@@ -1404,3 +1451,94 @@ class TestVerdictPath:
         assert enumerate_language(dyck, 8) == expected[0]
         assert oracle_difference(exrl, "exrl_gll", 6) == expected[1]
         assert language_difference(exrl, exrl_left, 6) == expected[2]
+
+
+def one_symbol_chain_automata():
+    """Every automaton over ``ab`` with states q0 (the start), q1 and q2 in
+    which each state has no rule or one rule of one symbol into any state,
+    with a nonempty final set, of both kinds: every state is count-decided."""
+    states = ["q0", "q1", "q2"]
+    picks = [None, *product("ab", states)]
+    for kind in ("grl", "gll"):
+        for marks in product((False, True), repeat=len(states)):
+            finals = [q for q, final in zip(states, marks) if final]
+            for chosen in product(picks, repeat=len(states)) if finals else ():
+                rules = [(q, *pick) for q, pick in zip(states, chosen) if pick]
+                yield make_automaton(kind, "ab", states, "q0", finals, rules)
+
+
+class TestCountDrain:
+    """The verdict path decides a run out of a state from which every
+    reachable state has no rule or one rule of one symbol by counting the
+    symbols left, with no step: these tests draw nothing at random."""
+
+    def test_a_drain_accepts_where_the_walk_of_its_length_ends_final(self):
+        # example1-rowj's q2 deletes a into q3, which deletes b back into q2,
+        # the one final state. A walk of even length deletes as many a's as
+        # b's and ends in q2; one of odd length ends in q3, so its length
+        # rejects uncounted. A text is accepted iff it holds as many a's as b's.
+        example1, exrl = load_bundled("example1-rowj"), load_bundled("exrl-grl")
+        drain = engine._compile_count_drain(example1, "q2")
+        accept = (None, ("", "q2", ""))
+        for left, right in [("", "ab"), ("ba", ""), ("b", "a"), ("", "bbaa"), ("ab", "ab")]:
+            assert drain(left, right) == accept
+        for left, right in [("", "a"), ("", "b"), ("", "aab"), ("a", "aab"), ("", "bb")]:
+            assert drain(left, right) == ()
+        # exrl-grl's q1 is final and has no rule: it accepts the empty text alone.
+        drain = engine._compile_count_drain(exrl, "q1")
+        assert (drain("", ""), drain("", "a"), drain("b", "")) == ((None, ("", "q1", "")), (), ())
+        # A rule of two symbols, or two rules, on the way: no count drain.
+        assert engine._compile_count_drain(load_bundled("bmabbn-grl"), "q0") is None
+        assert engine._compile_count_drain(exrl, "q0") is None
+
+    def test_every_one_symbol_chain_decides_as_the_one_way_reference(self):
+        machines = list(one_symbol_chain_automata())
+        assert len(machines) == 2 * 7 * 7**3
+        words = list(iter_words("ab", 4))
+        assert len(words) == 31
+        checked = 0
+        for aut in machines:
+            assert count_decided(aut) == set(aut.states)
+            decide = engine._decider(aut)
+            for word in words:
+                expected = one_way_reference_member(aut, word)
+                assert decide(word) == member(aut, word)[0] == expected, (aut, word)
+                checked += 1
+        assert checked == 148_862
+
+    def test_decides_as_member_storing_nothing(self, monkeypatch):
+        machines = [load_bundled(n) for n in ("nonrowj-grl", "example1-rowj", "exrl-grl")]
+        words = list(iter_words("ab", 8))
+        expected = [[member(aut, w)[0] for w in words] for aut in machines]
+        monkeypatch.setattr(engine, "MAX_STORED_SYMBOLS", 0)
+        assert [[engine._decider(aut)(w) for w in words] for aut in machines] == expected
+
+    def test_example1_rowj_makes_no_step(self):
+        # q0 moves by its lookup, into the dead q1 or into q2, whose run is counted.
+        aut = load_bundled("example1-rowj")
+        assert count_decided(aut) == {"q1", "q2", "q3"}
+        for word in iter_words("ab", 8):
+            assert successor_log(verdict_search, aut, word) == (member(aut, word)[0], [])
+
+    def test_exrl_grl_expands_no_q1_configuration(self):
+        # q1 is final and has no rule: it accepts only the empty text.
+        aut = load_bundled("exrl-grl")
+        assert count_decided(aut) == {"q1"}
+        member_q1 = 0
+        for word in iter_words("ab", 8):
+            verdict, expanded = successor_log(verdict_search, aut, word)
+            assert verdict == member(aut, word)[0]
+            assert "q1" not in {state for state, _ in expanded}
+            member_q1 += "q1" in {state for state, _ in successor_log(member, aut, word)[1]}
+        assert member_q1 == 403
+
+    def test_no_count_drain_where_the_chain_reaches_a_wider_state(self):
+        # q0 deletes a into q1, which has two rules (bb, b) or one of two
+        # symbols (bb): either way q0's run is not counted, so the verdict
+        # path steps q0 and q1 before q2, which has no rule, ends it.
+        for wide in ([("q1", "bb", "q2"), ("q1", "b", "q2")], [("q1", "bb", "q2")]):
+            rules = [("q0", "a", "q1"), *wide]
+            aut = make_automaton("grl", "ab", ["q0", "q1", "q2"], "q0", ["q2"], rules)
+            assert count_decided(aut) == {"q2"}
+            expanded = [("q0", False), ("q1", False)]
+            assert successor_log(verdict_search, aut, "abb") == (True, expanded)
